@@ -48,6 +48,7 @@ _CONFIG_KEYS = {
     "stabilize",
     "out",
 }
+_INTEGER_CONFIG_KEYS = ("n", "reps", "seed", "draws", "boot", "threads")
 
 SUMMARY_HEADER = [
     "estimator",
@@ -96,6 +97,17 @@ def _load_config_file(path):
     unknown = set(raw) - _CONFIG_KEYS
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
+    for key in _INTEGER_CONFIG_KEYS:
+        value = raw.get(key, 0)
+        # bool is a subclass of int; JSON true/false is not a count.
+        if isinstance(value, bool) or not (
+            isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        ):
+            raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+    if not isinstance(raw.get("stabilize", True), bool):
+        raise UsageError(
+            f"config key 'stabilize' must be a JSON boolean, got {raw['stabilize']!r}"
+        )
     return raw
 
 

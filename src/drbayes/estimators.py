@@ -34,6 +34,7 @@ from .glm import (
     DesignMatrix,
     NonConvergenceError,
     SingularDesignError,
+    centered_ps_derivative,
     clever_covariate,
     cubic_ps_basis,
     fit_linear_weighted,
@@ -523,20 +524,22 @@ def or_ps_sandwich(data, spec, cfg=None, rng=None):
     error that propagates first-stage estimation of the propensity model."""
     parts = _or_ps_parts(data, spec)
     point = parts.outcome_fit.phi[Z_COL]
-    full_labels = ps_outcome_design(data, spec, parts.e).column_labels
-    kept_idx = [j for j, lab in enumerate(full_labels) if lab not in parts.dropped]
-
-    def build(gamma):
-        e = expit(parts.ps_design.values @ gamma)
-        return ps_outcome_design(data, spec, e).values[:, kept_idx]
-
+    jac = np.zeros((*parts.outcome_design.values.shape, parts.ps_design.p))
+    if not parts.dropped:
+        # Only the cubic basis columns, which come last, depend on gamma.
+        d = parts.outcome_design.values[:, -3, None]
+        dd = centered_ps_derivative(parts.ps_design, parts.e)
+        jac[:, -3] = dd
+        jac[:, -2] = 2.0 * d * dd
+        jac[:, -1] = 3.0 * d**2 * dd
     variance = ps_adjusted_treatment_variance(
         parts.outcome_fit,
         parts.ps_fit,
         data.y,
         data.z,
         parts.ps_design,
-        build,
+        parts.outcome_design,
+        jac,
         treatment_col=Z_COL,
     )
     return _result(
@@ -796,45 +799,60 @@ def two_step_pair(data, spec, cfg, rng):
 # joint estimation
 
 
-def _central_diff_grad(fun, x, rel_step=1e-6):
-    grad = np.empty_like(x)
-    for j in range(x.shape[0]):
-        h = rel_step * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xp[j] += h
-        xm = x.copy()
-        xm[j] -= h
-        grad[j] = (fun(xp) - fun(xm)) / (2.0 * h)
-    return grad
+def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
+    """Profiled joint log-likelihood of the outcome and treatment models,
+    with its analytic derivatives.
 
+    The outcome design is ``base`` plus the centered cubic basis of
+    ``e = expit(bvals @ gamma)``, and the Gaussian variance is profiled out.
+    With ``phi=None`` the outcome coefficients are solved by least squares,
+    which gives the concentrated log-likelihood in ``gamma``; by the envelope
+    theorem its gradient is the ``gamma`` block of the full gradient.
 
-def _central_diff_hessian(fun, x, rel_step=1e-5):
-    p = x.shape[0]
-    steps = rel_step * (1.0 + np.abs(x))
-    hess = np.empty((p, p))
-    f0 = fun(x)
-    for j in range(p):
-        xp = x.copy()
-        xp[j] += steps[j]
-        xm = x.copy()
-        xm[j] -= steps[j]
-        hess[j, j] = (fun(xp) - 2.0 * f0 + fun(xm)) / steps[j] ** 2
-    for j in range(p):
-        for k in range(j + 1, p):
-            xpp = x.copy()
-            xpp[[j, k]] += steps[[j, k]]
-            xpm = x.copy()
-            xpm[j] += steps[j]
-            xpm[k] -= steps[k]
-            xmp = x.copy()
-            xmp[j] -= steps[j]
-            xmp[k] += steps[k]
-            xmm = x.copy()
-            xmm[[j, k]] -= steps[[j, k]]
-            hess[j, k] = hess[k, j] = (fun(xpp) - fun(xpm) - fun(xmp) + fun(xmm)) / (
-                4.0 * steps[j] * steps[k]
-            )
-    return hess
+    Returns ``(value, grad, phi, hess)``: the gradient over
+    ``theta = (phi, gamma)`` and, when ``hessian`` is set, the Hessian over
+    ``theta`` (otherwise ``None``).
+    """
+    n, p_base = base.shape
+    p_phi = p_base + 3
+    e = expit(bvals @ gamma)
+    design = np.column_stack([base, cubic_ps_basis(e)])
+    d = design[:, p_base]
+    if phi is None:
+        phi = np.linalg.solve(design.T @ design, design.T @ y)
+    resid = y - design @ phi
+    s2 = max(float(resid @ resid) / n, 1e-300)
+    value = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0) + float(
+        z @ np.log(e) + (1.0 - z) @ np.log1p(-e)
+    )
+    dd = centered_ps_derivative(bvals, e)
+    g = phi[p_base] + d * (2.0 * phi[p_base + 1] + 3.0 * phi[p_base + 2] * d)
+    # d(design @ phi)/d gamma, row by row.
+    slope = dd * g[:, None]
+    score = np.concatenate([design.T @ resid, resid @ slope])
+    grad = score / s2
+    grad[p_phi:] += bvals.T @ (z - e)
+    if not hessian:
+        return value, grad, phi, None
+
+    # The Gaussian term -n/2 log(RSS) has Hessian
+    # 2 score score' / (n s2^2) - sum_i (dr_i dr_i' + r_i d2r_i) / s2
+    # for the residuals r = y - design @ phi.
+    jr = np.column_stack([design, slope])
+    curv = jr.T @ jr
+    cross = -np.column_stack([resid, 2.0 * resid * d, 3.0 * resid * d * d]).T @ dd
+    curv[p_base:p_phi, p_phi:] += cross
+    curv[p_phi:, p_base:p_phi] += cross.T
+    dg = 2.0 * phi[p_base + 1] + 6.0 * phi[p_base + 2] * d
+    curv[p_phi:, p_phi:] -= (dd * (resid * dg)[:, None]).T @ dd
+    hess = 2.0 * np.outer(score, score) / (n * s2 * s2) - curv / s2
+    # The curvature of dd itself, d(v B)/d gamma with dv/d eta = v (1 - 2e),
+    # and the Bernoulli information B' diag(v) B.
+    v = e * (1.0 - e)
+    rg = resid * g
+    w = (rg - rg.mean()) * v * (1.0 - 2.0 * e) / s2 - v
+    hess[p_phi:, p_phi:] += (bvals * w[:, None]).T @ bvals
+    return value, grad, phi, hess
 
 
 def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
@@ -845,82 +863,40 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
 
     The outcome block is closed-form least squares given the treatment
     coefficients, so it is concentrated out and the treatment block is
-    maximized by quasi-Newton with central-difference gradients; the
-    Gaussian variance is profiled throughout.  The search is repeated until
-    the joint log-likelihood improves by less than ``tol``.  The draw
-    covariance is the inverse central-difference Hessian of the profiled
-    joint log-likelihood at the optimum.
+    maximized by quasi-Newton with the analytic gradient; the Gaussian
+    variance is profiled throughout.  The search is repeated until the joint
+    log-likelihood improves by less than ``tol``.  The draw covariance is the
+    inverse of the analytic Hessian of the profiled joint log-likelihood at
+    the optimum.
     """
-    y, z, n = data.y, data.z, data.n
+    y, z = data.y, data.z
     ps_design = treatment_design(data, spec)
     bvals = ps_design.values
     base = plain_outcome_design(data, spec).values
-    p_base = base.shape[1]
-    p_phi = p_base + 3
-
-    design_buf = np.empty((n, p_phi))
-    design_buf[:, :p_base] = base
-
-    def outcome_fit_at(gamma):
-        e = expit(bvals @ gamma)
-        d = e - e.mean()
-        design_buf[:, p_base] = d
-        design_buf[:, p_base + 1] = d * d
-        design_buf[:, p_base + 2] = d * d * d
-        a = design_buf.T @ design_buf
-        phi = np.linalg.solve(a, design_buf.T @ y)
-        return phi, design_buf
-
-    def profile_loglik(phi, gamma):
-        e = expit(bvals @ gamma)
-        d = e - e.mean()
-        resid = y - base @ phi[:p_base] - d * (
-            phi[p_base] + d * (phi[p_base + 1] + d * phi[p_base + 2])
-        )
-        s2 = max(float(resid @ resid) / n, 1e-300)
-        gauss = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0)
-        bern = float(z @ np.log(e) + (1.0 - z) @ np.log1p(-e))
-        return gauss + bern
-
-    # The outcome block is closed form given the treatment coefficients, so
-    # it is folded into the treatment-block objective: the quasi-Newton
-    # search runs over the treatment coefficients alone, with the outcome
-    # coefficients re-solved inside every evaluation.
-    def concentrated(gamma):
-        e = expit(bvals @ gamma)
-        d = e - e.mean()
-        design_buf[:, p_base] = d
-        design_buf[:, p_base + 1] = d * d
-        design_buf[:, p_base + 2] = d * d * d
-        a = design_buf.T @ design_buf
-        phi = np.linalg.solve(a, design_buf.T @ y)
-        resid = y - design_buf @ phi
-        s2 = max(float(resid @ resid) / n, 1e-300)
-        gauss = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0)
-        bern = float(z @ np.log(e) + (1.0 - z) @ np.log1p(-e))
-        return gauss + bern
+    p_phi = base.shape[1] + 3
 
     def neg_concentrated(gamma):
-        return -concentrated(gamma)
+        value, grad, _, _ = _joint_loglik(y, z, base, bvals, gamma)
+        return -value, -grad[p_phi:]
 
     try:
         gamma = fit_logistic_weighted(ps_design, z).gamma
     except NonConvergenceError as err:
         gamma = err.last_fit.gamma
-    loglik = concentrated(gamma)
+    loglik = _joint_loglik(y, z, base, bvals, gamma)[0]
     trace = [loglik]
     converged = False
     for _ in range(max_outer):
         res = minimize(
             neg_concentrated,
             gamma,
-            jac=lambda g: _central_diff_grad(neg_concentrated, g),
+            jac=True,
             method="BFGS",
             options={"gtol": 3e-7, "maxiter": 200},
         )
         if -res.fun >= loglik:
             gamma = res.x
-        new_loglik = concentrated(gamma)
+        new_loglik = _joint_loglik(y, z, base, bvals, gamma)[0]
         trace.append(new_loglik)
         if abs(new_loglik - loglik) < tol:
             converged = True
@@ -932,14 +908,9 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
             f"joint optimization did not converge in {max_outer} outer iterations; "
             f"last improvements {np.diff(trace[-4:])}"
         )
-    phi, _ = outcome_fit_at(gamma)
-
+    _, _, phi, hessian = _joint_loglik(y, z, base, bvals, gamma, hessian=True)
     theta = np.concatenate([phi, gamma])
 
-    def loglik_theta(t):
-        return profile_loglik(t[:p_phi], t[p_phi:])
-
-    hessian = _central_diff_hessian(loglik_theta, theta)
     info = -hessian
     jitter_used = 0.0
     for jitter in (0.0, 1e-10, 1e-8, 1e-6):

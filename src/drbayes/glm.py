@@ -39,6 +39,7 @@ __all__ = [
     "BatchLinear",
     "propensity",
     "cubic_ps_basis",
+    "centered_ps_derivative",
     "clever_covariate",
     "observed_info_se_treatment",
     "fd_mean_score_cross_derivative",
@@ -512,6 +513,19 @@ def cubic_ps_basis(e):
     return np.column_stack([d, d**2, d**3])
 
 
+def centered_ps_derivative(ps_design, e):
+    """Derivative of the centered probabilities ``d = e - mean(e)`` with
+    respect to the propensity coefficients, for ``e = expit(B @ gamma)``.
+
+    By the chain rule it is ``v B - mean(v B)`` with ``v = e (1 - e)``;
+    column k of :func:`cubic_ps_basis` moves by ``k d^(k-1)`` times it.
+    Returns an (n, q) array.
+    """
+    e = np.asarray(e, dtype=float)
+    vb = _as_values(ps_design) * (e * (1.0 - e))[:, None]
+    return vb - vb.mean(axis=0)
+
+
 def clever_covariate(z, e):
     """Derived regressor ``z / e - (1 - z) / (1 - e)``."""
     z = np.asarray(z, dtype=float)
@@ -531,7 +545,9 @@ def observed_info_se_treatment(outcome_fit, treatment_col=1):
 def fd_mean_score_cross_derivative(build_outcome_design, gamma, phi, sigma2, y, fd_step=1e-5):
     """Average derivative of the per-observation outcome score with respect
     to the propensity coefficients, by central finite differences with step
-    ``fd_step * (1 + |coef|)`` per coordinate.
+    ``fd_step * (1 + |coef|)`` per coordinate.  It is the reference against
+    which the exact cross derivative of :func:`ps_adjusted_treatment_variance`
+    is checked.
 
     Returns a (p_outcome, p_propensity) matrix.
     """
@@ -560,19 +576,20 @@ def ps_adjusted_treatment_variance(
     y,
     z,
     ps_design,
-    build_outcome_design,
+    outcome_design,
+    design_jacobian,
     treatment_col=1,
-    fd_step=1e-5,
     include_ps_correction=True,
 ):
     """Sandwich variance of the treatment coefficient, propagating the
     first-stage propensity fit.
 
-    The outcome-score/propensity-parameter cross derivative is obtained by
-    central finite differences of the per-observation outcome score with
-    respect to each propensity coefficient (step ``fd_step * (1 + |coef|)``),
-    using ``build_outcome_design`` to rebuild the outcome design at perturbed
-    coefficients.  All expectations are replaced by sample means.  With
+    ``outcome_design`` is the (n, p) outcome design at the fitted propensity
+    coefficients and ``design_jacobian`` its (n, p, q) derivative with
+    respect to them (zero for columns that do not involve the propensity).
+    The outcome-score/propensity-parameter cross derivative is then exact:
+    the sample mean of ``(dX_i' r_i - X_i (dX_i phi)) / sigma2``.  All
+    expectations are replaced by sample means.  With
     ``include_ps_correction=False`` the correction term is dropped and the
     result is the conventional robust (HC0) sandwich of the outcome fit.
 
@@ -587,7 +604,7 @@ def ps_adjusted_treatment_variance(
     sigma2 = outcome_fit.sigma2
     if sigma2 <= 0.0:
         return 0.0
-    xout = np.asarray(build_outcome_design(ps_fit.gamma), dtype=float)
+    xout = _as_values(outcome_design)
     n = xout.shape[0]
     resid = y - xout @ phi
     u_phi = xout * resid[:, None] / sigma2
@@ -598,9 +615,10 @@ def ps_adjusted_treatment_variance(
         e = expit(bv @ ps_fit.gamma)
         u_gam = bv * (z - e)[:, None]
         a_gam = (bv * (e * (1.0 - e))[:, None]).T @ bv / n
-        cross = fd_mean_score_cross_derivative(
-            build_outcome_design, ps_fit.gamma, phi, sigma2, y, fd_step
-        )
+        jac = np.asarray(design_jacobian, dtype=float)
+        cross = (
+            np.einsum("iaj,i->aj", jac, resid) - xout.T @ np.einsum("ibj,b->ij", jac, phi)
+        ) / (n * sigma2)
         try:
             b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
         except np.linalg.LinAlgError:

@@ -4,6 +4,7 @@ import pytest
 from drbayes.glm import (
     DesignMatrix,
     SingularDesignError,
+    centered_ps_derivative,
     clever_covariate,
     cubic_ps_basis,
     fd_mean_score_cross_derivative,
@@ -228,6 +229,33 @@ class TestPropensityAndBases:
         assert clever_covariate(1.0, 0.25) == pytest.approx(4.0)
 
 
+def _cubic_design_jacobian(p_base, bdes, e):
+    """(n, p_base + 3, q) derivative of an outcome design whose last three
+    columns are the cubic basis of ``e = expit(bdes @ gamma)``."""
+    d = (e - e.mean())[:, None]
+    dd = centered_ps_derivative(bdes, e)
+    jac = np.zeros((e.shape[0], p_base + 3, dd.shape[1]))
+    jac[:, p_base:] = np.stack([dd, 2.0 * d * dd, 3.0 * d**2 * dd], axis=1)
+    return jac
+
+
+def _fd_adjusted_variance(outcome_fit, ps_fit, y, z, bdes, build, treatment_col=1):
+    """Reference PS-adjusted sandwich variance with the cross derivative taken
+    by central differences of ``build(gamma)``, the outcome design."""
+    phi, sigma2 = outcome_fit.phi, outcome_fit.sigma2
+    xout = build(ps_fit.gamma)
+    n = xout.shape[0]
+    u_phi = xout * (y - xout @ phi)[:, None] / sigma2
+    a_phi = xout.T @ xout / (n * sigma2)
+    e = expit(bdes @ ps_fit.gamma)
+    u_gam = bdes * (z - e)[:, None]
+    a_gam = (bdes * (e * (1.0 - e))[:, None]).T @ bdes / n
+    cross = fd_mean_score_cross_derivative(build, ps_fit.gamma, phi, sigma2, y)
+    b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
+    a_inv = np.linalg.inv(a_phi)
+    return float((a_inv @ (b_mat.T @ b_mat / n) @ a_inv)[treatment_col, treatment_col] / n)
+
+
 def _sandwich_instance(n, seed):
     """Outcome linear in (1, z, s, cubic basis of fitted probabilities)."""
     gen = RngStream(seed, 55).generator()
@@ -244,7 +272,8 @@ def _sandwich_instance(n, seed):
 
     x_out = build(ps_fit.gamma)
     outcome_fit = fit_linear_weighted(x_out, y)
-    return y, z, s, bdes, ps_fit, outcome_fit, build
+    jac = _cubic_design_jacobian(3, bdes, expit(bdes @ ps_fit.gamma))
+    return y, z, s, bdes, ps_fit, outcome_fit, build, jac
 
 
 class TestSandwich:
@@ -259,10 +288,10 @@ class TestSandwich:
         assert observed_info_se_treatment(fit) == pytest.approx(oracle, rel=1e-10)
 
     def test_correction_free_variant_equals_hc0(self):
-        y, z, s, bdes, ps_fit, outcome_fit, build = _sandwich_instance(300, seed=21)
+        y, z, s, bdes, ps_fit, outcome_fit, build, jac = _sandwich_instance(300, seed=21)
         x_out = build(ps_fit.gamma)
         var = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, build, include_ps_correction=False
+            outcome_fit, ps_fit, y, z, bdes, x_out, jac, include_ps_correction=False
         )
         resid = y - x_out @ outcome_fit.phi
         bread = np.linalg.inv(x_out.T @ x_out)
@@ -283,15 +312,13 @@ class TestSandwich:
         ps_fit = fit_logistic_weighted(bdes, z)
         x_out = np.column_stack([np.ones(n), z, s])
         outcome_fit = fit_linear_weighted(x_out, y)
-
-        def build(gamma):
-            return x_out
+        jac = np.zeros((n, 3, 2))
 
         with_corr = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, build, include_ps_correction=True
+            outcome_fit, ps_fit, y, z, bdes, x_out, jac, include_ps_correction=True
         )
         without = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, build, include_ps_correction=False
+            outcome_fit, ps_fit, y, z, bdes, x_out, jac, include_ps_correction=False
         )
         assert with_corr == pytest.approx(without, abs=1e-8)
 
@@ -334,6 +361,49 @@ class TestSandwich:
             analytic[:, j] = du.mean(axis=0)
         np.testing.assert_allclose(fd, analytic, atol=1e-6)
 
+    def test_exact_cross_derivative_matches_fd_variance(self):
+        y, z, s, bdes, ps_fit, outcome_fit, build, jac = _sandwich_instance(300, seed=24)
+        var = ps_adjusted_treatment_variance(
+            outcome_fit, ps_fit, y, z, bdes, build(ps_fit.gamma), jac
+        )
+        oracle = _fd_adjusted_variance(outcome_fit, ps_fit, y, z, bdes, build)
+        assert var == pytest.approx(oracle, rel=1e-6)
+
+    def test_or_ps_sandwich_se_matches_fd_variance(self):
+        # 20 replications at n=500; the first uses an intercept-only
+        # treatment model, whose constant probabilities make the cubic
+        # columns collinear with the intercept, so they are dropped.
+        from drbayes.estimators import (
+            CovariateSpec,
+            _or_ps_parts,
+            or_ps_sandwich,
+            ps_outcome_design,
+        )
+        from drbayes.simulation import apply_scenario, generate_data
+
+        for rep in range(20):
+            data = generate_data(500, RngStream(4321, rep))
+            spec = apply_scenario(data, "I")
+            if rep == 0:
+                spec = CovariateSpec(s_columns=spec.s_columns, b_columns=())
+            parts = _or_ps_parts(data, spec)
+            assert bool(parts.dropped) == (rep == 0)
+            kept = [
+                j
+                for j, label in enumerate(ps_outcome_design(data, spec, parts.e).column_labels)
+                if label not in parts.dropped
+            ]
+            bdes = parts.ps_design.values
+
+            def build(gamma, data=data, spec=spec, bdes=bdes, kept=kept):
+                return ps_outcome_design(data, spec, expit(bdes @ gamma)).values[:, kept]
+
+            oracle = _fd_adjusted_variance(
+                parts.outcome_fit, parts.ps_fit, data.y, data.z, bdes, build
+            )
+            se = or_ps_sandwich(data, spec).se
+            assert se == pytest.approx(np.sqrt(oracle), rel=1e-6), rep
+
     def test_adjusted_variance_below_unadjusted_on_average(self):
         # Estimating the treatment probabilities reduces the variance of the
         # treatment coefficient; check the estimated quantities on average.
@@ -347,18 +417,18 @@ class TestSandwich:
             bdes = treatment_design(data, spec)
             ps_fit = fit_logistic_weighted(bdes, data.z)
 
-            def build(gamma, data=data, spec=spec, bdes=bdes):
-                return ps_outcome_design(data, spec, expit(bdes.values @ gamma)).values
-
-            outcome_fit = fit_linear_weighted(build(ps_fit.gamma), data.y)
+            e = propensity(ps_fit, bdes)
+            x_out = ps_outcome_design(data, spec, e).values
+            jac = _cubic_design_jacobian(x_out.shape[1] - 3, bdes.values, e)
+            outcome_fit = fit_linear_weighted(x_out, data.y)
             adj.append(
                 ps_adjusted_treatment_variance(
-                    outcome_fit, ps_fit, data.y, data.z, bdes, build
+                    outcome_fit, ps_fit, data.y, data.z, bdes, x_out, jac
                 )
             )
             unadj.append(
                 ps_adjusted_treatment_variance(
-                    outcome_fit, ps_fit, data.y, data.z, bdes, build,
+                    outcome_fit, ps_fit, data.y, data.z, bdes, x_out, jac,
                     include_ps_correction=False,
                 )
             )
