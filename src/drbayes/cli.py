@@ -98,16 +98,11 @@ def _load_config_file(path):
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for key in _INTEGER_CONFIG_KEYS:
-        value = raw.get(key, 0)
-        # bool is a subclass of int; JSON true/false is not a count.
-        if isinstance(value, bool) or not (
-            isinstance(value, int) or (isinstance(value, float) and value.is_integer())
-        ):
-            raise UsageError(f"config key {key!r} must be an integer, got {value!r}")
+        # type(), not isinstance(): JSON true/false must not pass as 1/0.
+        if key in raw and type(raw[key]) is not int:
+            raise UsageError(f"config key {key!r} must be an integer, got {raw[key]!r}")
     if not isinstance(raw.get("stabilize", True), bool):
-        raise UsageError(
-            f"config key 'stabilize' must be a JSON boolean, got {raw['stabilize']!r}"
-        )
+        raise UsageError(f"config key 'stabilize' must be a JSON boolean, got {raw['stabilize']!r}")
     return raw
 
 

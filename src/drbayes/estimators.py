@@ -34,9 +34,9 @@ from .glm import (
     DesignMatrix,
     NonConvergenceError,
     SingularDesignError,
-    centered_ps_derivative,
     clever_covariate,
     cubic_ps_basis,
+    cubic_ps_basis_jacobian,
     fit_linear_weighted,
     fit_linear_weighted_many,
     fit_logistic_weighted,
@@ -527,11 +527,7 @@ def or_ps_sandwich(data, spec, cfg=None, rng=None):
     jac = np.zeros((*parts.outcome_design.values.shape, parts.ps_design.p))
     if not parts.dropped:
         # Only the cubic basis columns, which come last, depend on gamma.
-        d = parts.outcome_design.values[:, -3, None]
-        dd = centered_ps_derivative(parts.ps_design, parts.e)
-        jac[:, -3] = dd
-        jac[:, -2] = 2.0 * d * dd
-        jac[:, -1] = 3.0 * d**2 * dd
+        jac[:, -3:] = cubic_ps_basis_jacobian(parts.ps_design, parts.e)
     variance = ps_adjusted_treatment_variance(
         parts.outcome_fit,
         parts.ps_fit,
@@ -816,8 +812,8 @@ def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     n, p_base = base.shape
     p_phi = p_base + 3
     e = expit(bvals @ gamma)
-    design = np.column_stack([base, cubic_ps_basis(e)])
-    d = design[:, p_base]
+    d = e - e.mean()
+    design = np.column_stack([base, d, d * d, d * d * d])
     if phi is None:
         phi = np.linalg.solve(design.T @ design, design.T @ y)
     resid = y - design @ phi
@@ -825,11 +821,13 @@ def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     value = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0) + float(
         z @ np.log(e) + (1.0 - z) @ np.log1p(-e)
     )
-    dd = centered_ps_derivative(bvals, e)
+    # Row i of design @ phi moves with gamma by g_i dd_i, where dd = v B -
+    # mean(v B) is the derivative of d; so sum_i r_i g_i dd_i is
+    # B' (v (rg - mean(rg))).
     g = phi[p_base] + d * (2.0 * phi[p_base + 1] + 3.0 * phi[p_base + 2] * d)
-    # d(design @ phi)/d gamma, row by row.
-    slope = dd * g[:, None]
-    score = np.concatenate([design.T @ resid, resid @ slope])
+    v = e * (1.0 - e)
+    rg = resid * g
+    score = np.concatenate([design.T @ resid, bvals.T @ (v * (rg - rg.mean()))])
     grad = score / s2
     grad[p_phi:] += bvals.T @ (z - e)
     if not hessian:
@@ -838,9 +836,11 @@ def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     # The Gaussian term -n/2 log(RSS) has Hessian
     # 2 score score' / (n s2^2) - sum_i (dr_i dr_i' + r_i d2r_i) / s2
     # for the residuals r = y - design @ phi.
-    jr = np.column_stack([design, slope])
+    basis_jac = cubic_ps_basis_jacobian(bvals, e)
+    dd = basis_jac[:, 0]
+    jr = np.column_stack([design, dd * g[:, None]])
     curv = jr.T @ jr
-    cross = -np.column_stack([resid, 2.0 * resid * d, 3.0 * resid * d * d]).T @ dd
+    cross = -np.einsum("i,ikj->kj", resid, basis_jac)
     curv[p_base:p_phi, p_phi:] += cross
     curv[p_phi:, p_base:p_phi] += cross.T
     dg = 2.0 * phi[p_base + 1] + 6.0 * phi[p_base + 2] * d
@@ -848,8 +848,6 @@ def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     hess = 2.0 * np.outer(score, score) / (n * s2 * s2) - curv / s2
     # The curvature of dd itself, d(v B)/d gamma with dv/d eta = v (1 - 2e),
     # and the Bernoulli information B' diag(v) B.
-    v = e * (1.0 - e)
-    rg = resid * g
     w = (rg - rg.mean()) * v * (1.0 - 2.0 * e) / s2 - v
     hess[p_phi:, p_phi:] += (bvals * w[:, None]).T @ bvals
     return value, grad, phi, hess

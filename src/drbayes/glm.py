@@ -39,7 +39,7 @@ __all__ = [
     "BatchLinear",
     "propensity",
     "cubic_ps_basis",
-    "centered_ps_derivative",
+    "cubic_ps_basis_jacobian",
     "clever_covariate",
     "observed_info_se_treatment",
     "fd_mean_score_cross_derivative",
@@ -513,17 +513,19 @@ def cubic_ps_basis(e):
     return np.column_stack([d, d**2, d**3])
 
 
-def centered_ps_derivative(ps_design, e):
-    """Derivative of the centered probabilities ``d = e - mean(e)`` with
-    respect to the propensity coefficients, for ``e = expit(B @ gamma)``.
+def cubic_ps_basis_jacobian(ps_design, e):
+    """Derivative of :func:`cubic_ps_basis` with respect to the propensity
+    coefficients, for ``e = expit(B @ gamma)``; an (n, 3, q) array.
 
-    By the chain rule it is ``v B - mean(v B)`` with ``v = e (1 - e)``;
-    column k of :func:`cubic_ps_basis` moves by ``k d^(k-1)`` times it.
-    Returns an (n, q) array.
+    By the chain rule the centered probabilities ``d = e - mean(e)`` move by
+    ``v B - mean(v B)`` with ``v = e (1 - e)``, and column k of the basis
+    by ``k d^(k-1)`` times that.
     """
     e = np.asarray(e, dtype=float)
+    d = e - e.mean()
     vb = _as_values(ps_design) * (e * (1.0 - e))[:, None]
-    return vb - vb.mean(axis=0)
+    powers = np.column_stack([np.ones_like(d), 2.0 * d, 3.0 * d * d])
+    return powers[:, :, None] * (vb - vb.mean(axis=0))[:, None, :]
 
 
 def clever_covariate(z, e):
@@ -615,9 +617,9 @@ def ps_adjusted_treatment_variance(
         e = expit(bv @ ps_fit.gamma)
         u_gam = bv * (z - e)[:, None]
         a_gam = (bv * (e * (1.0 - e))[:, None]).T @ bv / n
-        jac = np.asarray(design_jacobian, dtype=float)
         cross = (
-            np.einsum("iaj,i->aj", jac, resid) - xout.T @ np.einsum("ibj,b->ij", jac, phi)
+            np.einsum("iaj,i->aj", design_jacobian, resid)
+            - xout.T @ np.einsum("ibj,b->ij", design_jacobian, phi)
         ) / (n * sigma2)
         try:
             b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)

@@ -4,9 +4,9 @@ import pytest
 from drbayes.glm import (
     DesignMatrix,
     SingularDesignError,
-    centered_ps_derivative,
     clever_covariate,
     cubic_ps_basis,
+    cubic_ps_basis_jacobian,
     fd_mean_score_cross_derivative,
     fit_linear_weighted,
     fit_linear_weighted_many,
@@ -232,10 +232,8 @@ class TestPropensityAndBases:
 def _cubic_design_jacobian(p_base, bdes, e):
     """(n, p_base + 3, q) derivative of an outcome design whose last three
     columns are the cubic basis of ``e = expit(bdes @ gamma)``."""
-    d = (e - e.mean())[:, None]
-    dd = centered_ps_derivative(bdes, e)
-    jac = np.zeros((e.shape[0], p_base + 3, dd.shape[1]))
-    jac[:, p_base:] = np.stack([dd, 2.0 * d * dd, 3.0 * d**2 * dd], axis=1)
+    jac = np.zeros((e.shape[0], p_base + 3, bdes.shape[1]))
+    jac[:, p_base:] = cubic_ps_basis_jacobian(bdes, e)
     return jac
 
 
