@@ -103,6 +103,9 @@ def _load_config_file(path):
             raise UsageError(f"config key {key!r} must be an integer, got {raw[key]!r}")
     if not isinstance(raw.get("stabilize", True), bool):
         raise UsageError(f"config key 'stabilize' must be a JSON boolean, got {raw['stabilize']!r}")
+    for key in ("out", "scenario"):
+        if key in raw and not isinstance(raw[key], str):
+            raise UsageError(f"config key {key!r} must be a JSON string, got {raw[key]!r}")
     return raw
 
 
@@ -122,7 +125,7 @@ def _sim_config_from_args(args):
             n=int(pick(args.n, "n", 500)),
             reps=int(pick(args.reps, "reps", 1000)),
             seed=int(pick(args.seed, "seed", 2024)),
-            scenario=str(pick(args.scenario, "scenario", "I")),
+            scenario=pick(args.scenario, "scenario", "I"),
             estimators=tuple(estimators) if estimators else tuple(ESTIMATOR_ORDER),
             n_draws=int(pick(args.draws, "draws", 200)),
             n_boot=int(pick(args.boot, "boot", 200)),

@@ -97,8 +97,8 @@ ABS_STANDARDIZED = "abs_standardized"
 _TRANSFORMS = (IDENTITY, ABS_STANDARDIZED)
 
 # Sub-stream indices: estimators draw resampling weights and posterior noise
-# from separate children of their stream so that procedures sharing weight
-# draws (the two two-step variants) see identical weight sequences.
+# from separate children of their stream, so the weight draws of estimators
+# with a common stream key (see STREAM_KEYS) agree whatever noise they use.
 _SUB_WEIGHTS = 0
 _SUB_NOISE = 1
 
@@ -111,23 +111,44 @@ class DrawFailureError(EstimatorError):
     """More than 10% of resampling draws failed."""
 
 
+def _freeze(*arrays):
+    """Mark arrays read-only: a shared input written by mistake raises."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
+def _per_dataset(build):
+    """Memoize ``build(data, *key)`` on ``data``, so every estimator run on
+    the same data set with equal ``key`` reads one shared result."""
+
+    def shared(data, *key):
+        if (build, *key) not in data._memo:
+            data._memo[(build, *key)] = build(data, *key)
+        return data._memo[(build, *key)]
+
+    return shared
+
+
 # ---------------------------------------------------------------------------
 # data containers
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observed sample: outcome, binary treatment, raw covariate matrix."""
+    """Observed sample: outcome, binary treatment, raw covariate matrix, held
+    as read-only copies so that results memoized on the data set
+    (:func:`_per_dataset`) cannot outlive the content they came from."""
 
     y: np.ndarray
     z: np.ndarray
     x: np.ndarray
     column_names: tuple[str, ...] = ()
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        y = np.asarray(self.y, dtype=float)
-        z = np.asarray(self.z, dtype=float)
-        x = np.asarray(self.x, dtype=float)
+        y = np.array(self.y, dtype=float)
+        z = np.array(self.z, dtype=float)
+        x = np.array(self.x, dtype=float)
         if x.ndim != 2:
             raise ValueError(f"covariates must be 2-d, got shape {x.shape}")
         if not (y.shape[0] == z.shape[0] == x.shape[0]):
@@ -143,6 +164,7 @@ class Dataset:
         )
         if len(names) != x.shape[1]:
             raise ValueError("column_names length does not match covariate count")
+        _freeze(y, z, x)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "z", z)
         object.__setattr__(self, "x", x)
@@ -291,7 +313,8 @@ def _clamp_ps(e):
     return np.clip(e, WEIGHT_CLIP, 1.0 - WEIGHT_CLIP)
 
 
-def _ps_fit(data: Dataset, spec: CovariateSpec):
+@_per_dataset
+def _ps_model(data: Dataset, spec: CovariateSpec):
     """Fit the treatment model, tolerating non-convergence (flagged)."""
     design = treatment_design(data, spec)
     try:
@@ -299,6 +322,7 @@ def _ps_fit(data: Dataset, spec: CovariateSpec):
     except NonConvergenceError as err:
         fit = err.last_fit
     e = propensity(fit, design)
+    _freeze(design.values, fit.gamma, fit.cov, e)
     diag = {
         "ps_converged": bool(fit.converged),
         "ps_iterations": int(fit.iterations),
@@ -306,6 +330,13 @@ def _ps_fit(data: Dataset, spec: CovariateSpec):
         "ps_coef": tuple(float(g) for g in fit.gamma),
     }
     return design, fit, e, diag
+
+
+def _ps_fit(data: Dataset, spec: CovariateSpec):
+    """``(design, fit, e, diag)`` of the treatment model, fit once per data
+    set; each caller gets its own copy of ``diag`` to extend."""
+    design, fit, e, diag = _ps_model(data, spec)
+    return design, fit, e, dict(diag)
 
 
 def _stabilizer(z, stabilize, weights=None):
@@ -387,12 +418,32 @@ def _check_draw_failures(n_failed, total, what):
         )
 
 
-def _batch_ps(design_values, z, weights, start=None):
-    """Batched treatment-model refits; returns clipped probabilities."""
-    batch = fit_logistic_weighted_many(design_values, z, weights, start=start)
+def _batch_propensity(batch, design_values):
+    """Per-row fitted probabilities of batched treatment refits (failed rows
+    evaluated at zero coefficients; callers drop them)."""
     with np.errstate(invalid="ignore"):
-        e = _clamp_ps(expit(np.where(np.isfinite(batch.gamma), batch.gamma, 0.0) @ design_values.T))
-    return batch, e
+        return expit(np.where(np.isfinite(batch.gamma), batch.gamma, 0.0) @ design_values.T)
+
+
+@_per_dataset
+def _count_plan(data, spec, rng, n_boot):
+    """Bootstrap plan shared by ``iptw``, ``dr``, ``clever`` and ``or_iptw``:
+    ``(counts, redraws, batch, e_b)``, a count matrix drawn from ``rng``, the
+    treatment model refit to each row (warm-started) and its clipped fits."""
+    design, fit, _, _ = _ps_model(data, spec)
+    counts, redraws = _bootstrap_counts(data.z, n_boot, rng.child(_SUB_WEIGHTS).generator())
+    batch = fit_logistic_weighted_many(design.values, data.z, counts, start=fit.gamma)
+    e_b = _clamp_ps(_batch_propensity(batch, design.values))
+    _freeze(counts, batch.gamma, batch.converged, e_b)
+    return counts, redraws, batch, e_b
+
+
+def _bootstrap_result(method, point, pts, ok, redraws, diag):
+    """Result with the spread of the successful bootstrap points as SE."""
+    _check_draw_failures(int((~ok).sum()), ok.shape[0], "bootstrap refits")
+    diag["boot_failures"] = int((~ok).sum())
+    diag["boot_degenerate_redraws"] = redraws
+    return _result(method, point, float(np.std(pts[ok], ddof=1)), diagnostics=diag)
 
 
 def bootstrap_se(point_fn, data, spec, cfg, rng):
@@ -444,23 +495,16 @@ def g_formula_adjusted(data, spec, cfg=None, rng=None):
 def iptw(data, spec, cfg, rng):
     """Inverse probability of treatment weighting with unstabilized weights;
     bootstrap standard error refitting the treatment model per resample."""
-    design, fit, e_raw, diag = _ps_fit(data, spec)
+    _, _, e_raw, diag = _ps_fit(data, spec)
     e = _clamp_ps(e_raw)
     y, z, n = data.y, data.z, data.n
     point = float(np.mean(y * z / e - y * (1.0 - z) / (1.0 - e)))
     diag["weight_min"] = float(np.min(np.where(z == 1.0, 1.0 / e, 1.0 / (1.0 - e))))
     diag["weight_max"] = float(np.max(np.where(z == 1.0, 1.0 / e, 1.0 / (1.0 - e))))
 
-    gen = rng.child(_SUB_WEIGHTS).generator()
-    counts, redraws = _bootstrap_counts(z, cfg.n_boot, gen)
-    batch, e_b = _batch_ps(design.values, z, counts, start=fit.gamma)
+    counts, redraws, batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
     pts = np.sum(counts * (y * z / e_b - y * (1.0 - z) / (1.0 - e_b)), axis=1) / n
-    ok = batch.converged
-    _check_draw_failures(int((~ok).sum()), cfg.n_boot, "bootstrap refits")
-    diag["boot_failures"] = int((~ok).sum())
-    diag["boot_degenerate_redraws"] = redraws
-    se = float(np.std(pts[ok], ddof=1))
-    return _result("iptw", point, se, diagnostics=diag)
+    return _bootstrap_result("iptw", point, pts, batch.converged, redraws, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +595,7 @@ def dr(data, spec, cfg, rng):
     """Semi-parametric doubly robust estimator: treatment-model fit on the
     b-columns, outcome model on the s-columns, residual reweighting plus
     standardization; bootstrap standard error refitting both models."""
-    ps_design, ps_fit, e_raw, diag = _ps_fit(data, spec)
+    _, _, e_raw, diag = _ps_fit(data, spec)
     e = _clamp_ps(e_raw)
     outcome_design = plain_outcome_design(data, spec)
     outcome_fit = fit_linear_weighted(outcome_design, data.y)
@@ -566,9 +610,7 @@ def dr(data, spec, cfg, rng):
     diag["residual_term"] = residual_term
     diag["model_term"] = model_term
 
-    gen = rng.child(_SUB_WEIGHTS).generator()
-    counts, redraws = _bootstrap_counts(z, cfg.n_boot, gen)
-    ps_batch, e_b = _batch_ps(ps_design.values, z, counts, start=ps_fit.gamma)
+    counts, redraws, ps_batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
     lin_batch = fit_linear_weighted_many(outcome_design.values, y, counts)
     ok = ps_batch.converged & lin_batch.ok
     m_obs_b = lin_batch.phi @ outcome_design.values.T
@@ -577,18 +619,14 @@ def dr(data, spec, cfg, rng):
         np.sum(counts * (y - m_obs_b) * cc_b, axis=1) / n
         + lin_batch.phi[:, Z_COL]
     )
-    _check_draw_failures(int((~ok).sum()), cfg.n_boot, "bootstrap refits")
-    diag["boot_failures"] = int((~ok).sum())
-    diag["boot_degenerate_redraws"] = redraws
-    se = float(np.std(pts[ok], ddof=1))
-    return _result("dr", point, se, diagnostics=diag)
+    return _bootstrap_result("dr", point, pts, ok, redraws, diag)
 
 
 def clever_covariate_regression(data, spec, cfg, rng):
     """Outcome regression augmented with the derived inverse-probability
     regressor, standardized over the sample; identical to the doubly robust
     estimator with this outcome model.  Bootstrap standard error."""
-    ps_design, ps_fit, e_raw, diag = _ps_fit(data, spec)
+    _, _, e_raw, diag = _ps_fit(data, spec)
     e = _clamp_ps(e_raw)
     y, z, n = data.y, data.z, data.n
     design = clever_outcome_design(data, spec, e)
@@ -604,9 +642,7 @@ def clever_covariate_regression(data, spec, cfg, rng):
     else:
         point = fit.phi[Z_COL] + fit.phi[-1] * correction
 
-    gen = rng.child(_SUB_WEIGHTS).generator()
-    counts, redraws = _bootstrap_counts(z, cfg.n_boot, gen)
-    ps_batch, e_b = _batch_ps(ps_design.values, z, counts, start=ps_fit.gamma)
+    counts, redraws, ps_batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
     base = plain_outcome_design(data, spec).values
     if dropped:
         # Point fit fell back to the plain design; resample fits follow.
@@ -621,18 +657,14 @@ def clever_covariate_regression(data, spec, cfg, rng):
         corr_b = np.sum(counts * (1.0 / e_b + 1.0 / (1.0 - e_b)), axis=1) / n
         pts = lin_batch.phi[:, Z_COL] + lin_batch.phi[:, -1] * corr_b
     ok = ps_batch.converged & lin_batch.ok
-    _check_draw_failures(int((~ok).sum()), cfg.n_boot, "bootstrap refits")
-    diag["boot_failures"] = int((~ok).sum())
-    diag["boot_degenerate_redraws"] = redraws
-    se = float(np.std(pts[ok], ddof=1))
-    return _result("clever", point, se, diagnostics=diag)
+    return _bootstrap_result("clever", point, pts, ok, redraws, diag)
 
 
 def or_iptw(data, spec, cfg, rng):
     """Outcome regression fit by inverse-probability-weighted least squares,
     standardized over the empirical covariate distribution; bootstrap
     standard error refitting both models."""
-    ps_design, ps_fit, e_raw, diag = _ps_fit(data, spec)
+    _, _, e_raw, diag = _ps_fit(data, spec)
     e = _clamp_ps(e_raw)
     y, z, n = data.y, data.z, data.n
     w = _treatment_weights(z, e, cfg.stabilize)
@@ -642,9 +674,7 @@ def or_iptw(data, spec, cfg, rng):
     fit = fit_linear_weighted(outcome_design, y, weights=w)
     point = fit.phi[Z_COL]
 
-    gen = rng.child(_SUB_WEIGHTS).generator()
-    counts, redraws = _bootstrap_counts(z, cfg.n_boot, gen)
-    ps_batch, e_b = _batch_ps(ps_design.values, z, counts, start=ps_fit.gamma)
+    counts, redraws, ps_batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
     if cfg.stabilize:
         pbar_b = (counts @ z) / n
         w_b = np.where(z == 1.0, pbar_b[:, None] / e_b, (1.0 - pbar_b[:, None]) / (1.0 - e_b))
@@ -652,29 +682,28 @@ def or_iptw(data, spec, cfg, rng):
         w_b = np.where(z == 1.0, 1.0 / e_b, 1.0 / (1.0 - e_b))
     lin_batch = fit_linear_weighted_many(outcome_design.values, y, counts * w_b)
     ok = ps_batch.converged & lin_batch.ok
-    pts = lin_batch.phi[:, Z_COL]
-    _check_draw_failures(int((~ok).sum()), cfg.n_boot, "bootstrap refits")
-    diag["boot_failures"] = int((~ok).sum())
-    diag["boot_degenerate_redraws"] = redraws
-    se = float(np.std(pts[ok], ddof=1))
-    return _result("or_iptw", point, se, diagnostics=diag)
+    return _bootstrap_result("or_iptw", point, lin_batch.phi[:, Z_COL], ok, redraws, diag)
 
 
 # ---------------------------------------------------------------------------
 # two-step posterior sampling
 
 
-def _plain_ps_start(ps_design, z):
-    """Unweighted treatment-model estimate used to warm-start reweighted refits."""
-    try:
-        return fit_logistic_weighted(ps_design, z).gamma
-    except NonConvergenceError as err:
-        return err.last_fit.gamma
-
-
 def _dirichlet_rows(gen, m, n):
     g = np.maximum(gen.standard_exponential((m, n)), 1e-300)
     return g / g.sum(axis=1, keepdims=True)
+
+
+@_per_dataset
+def _dirichlet_plan(data, spec, rng, n_draws):
+    """Bayesian-bootstrap plan shared by the two-step and importance-sampling
+    estimators: ``(xi, batch)``, Dirichlet weight rows drawn from ``rng`` and
+    the treatment model refit to each row (warm-started)."""
+    design, fit, _, _ = _ps_model(data, spec)
+    xi = _dirichlet_rows(rng.child(_SUB_WEIGHTS).generator(), n_draws, data.n)
+    batch = fit_logistic_weighted_many(design.values, data.z, xi, start=fit.gamma)
+    _freeze(xi, batch.gamma, batch.converged)
+    return xi, batch
 
 
 def _with_cubic_basis(base, e_rows):
@@ -718,21 +747,14 @@ def _two_step_draws(data, spec, cfg, rng):
     treatment contrast, its model-based variance, the contrast under the
     drawn outcome coefficients, and diagnostics.
     """
-    y, z, n = data.y, data.z, data.n
     m = cfg.n_draws
-    gen_w = rng.child(_SUB_WEIGHTS).generator()
     gen_noise = rng.child(_SUB_NOISE).generator()
 
-    xi = _dirichlet_rows(gen_w, m, n)
-    ps_design = treatment_design(data, spec)
-    ps_batch = fit_logistic_weighted_many(
-        ps_design.values, z, xi, start=_plain_ps_start(ps_design, z)
-    )
-    with np.errstate(invalid="ignore"):
-        e = expit(np.where(np.isfinite(ps_batch.gamma), ps_batch.gamma, 0.0) @ ps_design.values.T)
+    _, ps_batch = _dirichlet_plan(data, spec, rng, m)
+    e = _batch_propensity(ps_batch, _ps_model(data, spec)[0].values)
     base = plain_outcome_design(data, spec).values
     designs = _with_cubic_basis(base, e)
-    lin_batch = fit_linear_weighted_many(designs, y, weights=None)
+    lin_batch = fit_linear_weighted_many(designs, data.y, weights=None)
     ok = ps_batch.converged & lin_batch.ok
 
     contrast_hat = lin_batch.phi[:, Z_COL]
@@ -868,7 +890,7 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
     the optimum.
     """
     y, z = data.y, data.z
-    ps_design = treatment_design(data, spec)
+    ps_design, ps_fit, _, _ = _ps_model(data, spec)
     bvals = ps_design.values
     base = plain_outcome_design(data, spec).values
     p_phi = base.shape[1] + 3
@@ -877,10 +899,7 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
         value, grad, _, _ = _joint_loglik(y, z, base, bvals, gamma)
         return -value, -grad[p_phi:]
 
-    try:
-        gamma = fit_logistic_weighted(ps_design, z).gamma
-    except NonConvergenceError as err:
-        gamma = err.last_fit.gamma
+    gamma = ps_fit.gamma
     loglik = _joint_loglik(y, z, base, bvals, gamma)[0]
     trace = [loglik]
     converged = False
@@ -951,16 +970,10 @@ def _wlb_batch(data, spec, cfg, rng, weight_outcome_by_w):
     Dirichlet-weighted outcome fit, whose correction term then does the
     confounding adjustment.
     """
-    y, z, n = data.y, data.z, data.n
+    y, z = data.y, data.z
     m = cfg.n_draws
-    gen_w = rng.child(_SUB_WEIGHTS).generator()
-    xi = _dirichlet_rows(gen_w, m, n)
-    ps_design = treatment_design(data, spec)
-    ps_batch = fit_logistic_weighted_many(
-        ps_design.values, z, xi, start=_plain_ps_start(ps_design, z)
-    )
-    with np.errstate(invalid="ignore"):
-        e = _clamp_ps(expit(np.where(np.isfinite(ps_batch.gamma), ps_batch.gamma, 0.0) @ ps_design.values.T))
+    xi, ps_batch = _dirichlet_plan(data, spec, rng, m)
+    e = _clamp_ps(_batch_propensity(ps_batch, _ps_model(data, spec)[0].values))
     if cfg.stabilize:
         pbar = (xi * z).sum(axis=1)
         w = np.where(z == 1.0, pbar[:, None] / e, (1.0 - pbar[:, None]) / (1.0 - e))
@@ -1099,22 +1112,24 @@ ESTIMATOR_LABELS = {
     "is_dr": "Importance sampling/DR",
 }
 
-# Sub-stream keys per estimator.  The two two-step variants share a key so
-# that they see identical treatment-model weight draws.
+# Sub-stream keys per estimator.  Resampling estimators share a key and with
+# it one plan per data set: the bootstrap ones a count matrix (key 3), the
+# two-step and importance-sampling ones a Dirichlet matrix (key 9).  They are
+# correlated within a replication; each one's distribution is unchanged.
 STREAM_KEYS = {
     "naive": 1,
     "adjusted": 2,
     "iptw": 3,
     "or_ps_info": 4,
     "or_ps_sandwich": 5,
-    "dr": 6,
-    "clever": 7,
-    "or_iptw": 8,
+    "dr": 3,
+    "clever": 3,
+    "or_iptw": 3,
     "two_step_forward": 9,
     "two_step_vardecomp": 9,
     "joint": 10,
-    "is": 11,
-    "is_dr": 12,
+    "is": 9,
+    "is_dr": 9,
 }
 
 

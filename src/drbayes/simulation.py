@@ -12,9 +12,10 @@ contrast is exactly 1.  Two covariate-selection scenarios are studied:
   covariate in the treatment model.
 
 Replication ``r`` draws its data from stream id ``r`` of the configured
-seed, and each estimator consumes its own sub-stream, so the replication
-loop can be distributed over any number of worker processes without
-changing a single byte of the output.
+seed, and each estimator the sub-stream of its key in ``STREAM_KEYS``
+(estimators with a common key share one resampling plan per data set), so
+the replication loop can be distributed over any number of worker processes
+without changing a single byte of the output.
 """
 
 from __future__ import annotations

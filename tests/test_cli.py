@@ -103,6 +103,15 @@ class TestSimulateCommand:
         assert main(["simulate", "--config", str(cfg)]) == 2
         assert f"config key '{key}' must be an integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["out", "scenario"])
+    @pytest.mark.parametrize("value", [5, ["I"], None, True])
+    def test_non_string_path_and_scenario_exit_2(self, tmp_path, capsys, key, value):
+        # Path(5) raised a TypeError traceback; str(["I"]) named no scenario.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        assert main(["simulate", "--config", str(cfg)]) == 2
+        assert f"config key '{key}' must be a JSON string" in capsys.readouterr().err
+
     def test_boolean_stabilize_false_is_kept(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 60, "reps": 2, "estimators": ["naive"], "stabilize": False}))

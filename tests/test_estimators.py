@@ -29,7 +29,8 @@ from drbayes.estimators import (
     _joint_loglik,
 )
 from drbayes.numerics import RngStream
-from drbayes.simulation import apply_scenario, generate_data
+import drbayes.simulation as sim
+from drbayes.simulation import SimConfig, apply_scenario, generate_data, run_replication
 
 CFG = ResamplingConfig(n_draws=40, n_boot=40)
 
@@ -433,3 +434,121 @@ class TestRelabelInvariance:
         b = ESTIMATORS[tag](flipped, spec, cfg, rng)
         tol = 8.0 * a.se / np.sqrt(cfg.n_draws)
         assert b.point == pytest.approx(-a.point, abs=tol)
+
+
+# A small desk configuration: every estimator, few draws.
+SHARED_CONFIG = SimConfig(n=200, reps=2, seed=31, n_draws=30, n_boot=30)
+
+
+def _replication_data(config, rep):
+    """The data set and stream of replication ``rep``, generated afresh."""
+    rep_rng = RngStream(config.seed, stream_id=rep)
+    data = generate_data(config.n, rep_rng.child(sim._DATA_KEY))
+    return data, apply_scenario(data, config.scenario), rep_rng
+
+
+class TestSharedPlan:
+    """Estimators with a common stream key read one treatment-model fit and
+    one resampling plan per data set."""
+
+    @pytest.fixture(scope="class")
+    def records(self):
+        return {rec.estimator: rec for rec in run_replication(SHARED_CONFIG, 1)}
+
+    @pytest.mark.parametrize("tag", ESTIMATOR_ORDER)
+    def test_sharing_is_invisible(self, records, tag):
+        # Alone on a fresh, equal data set, each estimator gives the exact
+        # record it gives next to the others in a replication.
+        data, spec, rep_rng = _replication_data(SHARED_CONFIG, 1)
+        alone = ESTIMATORS[tag](
+            data, spec, SHARED_CONFIG.resampling(), rep_rng.child(STREAM_KEYS[tag])
+        )
+        assert records[tag].error is None
+        assert (records[tag].point, records[tag].se) == (alone.point, alone.se)
+
+    def test_one_full_sample_fit_and_two_batches_per_replication(self, monkeypatch):
+        calls = {"fit_logistic_weighted": 0, "fit_logistic_weighted_many": 0}
+
+        def counting(name):
+            inner = getattr(est, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(est, name, counting(name))
+        for rep in range(SHARED_CONFIG.reps):
+            records = run_replication(SHARED_CONFIG, rep)
+            assert all(rec.error is None for rec in records)
+        assert calls == {
+            "fit_logistic_weighted": SHARED_CONFIG.reps,
+            "fit_logistic_weighted_many": 2 * SHARED_CONFIG.reps,
+        }
+
+    def test_bayesian_estimators_share_dirichlet_refits(self):
+        data, spec, rep_rng = _replication_data(SHARED_CONFIG, 0)
+        cfg = SHARED_CONFIG.resampling()
+        coefs = {
+            tag: ESTIMATORS[tag](data, spec, cfg, rep_rng.child(STREAM_KEYS[tag])).diagnostics[
+                "ps_coef"
+            ]
+            for tag in ("two_step_forward", "is", "is_dr")
+        }
+        assert coefs["is"] == coefs["two_step_forward"] == coefs["is_dr"]
+
+    def test_bootstrap_estimators_share_count_matrix(self):
+        # Three treated of 40 make single-arm resamples, and so redraws, likely.
+        base, _ = _sim_data(n=40, seed=42)
+        z = np.zeros(40)
+        z[:3] = 1.0
+        data = Dataset(y=base.y, z=z, x=base.x)
+        spec = CovariateSpec(s_columns=((0, est.IDENTITY),), b_columns=((1, est.IDENTITY),))
+        cfg = ResamplingConfig(n_draws=2, n_boot=100)
+        rep_rng = RngStream(7, 0)
+        redraws = {
+            tag: ESTIMATORS[tag](data, spec, cfg, rep_rng.child(STREAM_KEYS[tag])).diagnostics[
+                "boot_degenerate_redraws"
+            ]
+            for tag in ("iptw", "dr", "clever", "or_iptw")
+        }
+        assert redraws["iptw"] > 0
+        assert set(redraws.values()) == {redraws["iptw"]}
+
+    @pytest.mark.parametrize("tag", ["iptw", "dr", "is", "two_step_vardecomp"])
+    def test_memo_belongs_to_its_data_set(self, tag):
+        data, spec = _sim_data(n=150, seed=24)
+        z = data.z.copy()
+        z[:10] = 1.0 - z[:10]
+        rng = RngStream(24, 0).child(STREAM_KEYS[tag])
+        # Equal streams, different treatment column: a fit cached for the
+        # first data set must not be served to the second, even when the
+        # second is allocated where the freed first one was.
+        first = ESTIMATORS[tag](Dataset(y=data.y, z=data.z, x=data.x), spec, CFG, rng)
+        second = ESTIMATORS[tag](Dataset(y=data.y, z=z, x=data.x), spec, CFG, rng)
+        assert second.diagnostics["ps_coef"] != first.diagnostics["ps_coef"]
+        assert second.se != first.se
+        alone = ESTIMATORS[tag](data, spec, CFG, rng)
+        assert (first.point, first.se) == (alone.point, alone.se)
+
+    def test_data_and_plans_are_read_only(self):
+        y = np.arange(6, dtype=float)
+        data = Dataset(y=y, z=[1, 0, 1, 0, 1, 0], x=np.zeros((6, 1)))
+        y[0] = 99.0  # the caller's array stays writable and is not shared
+        assert data.y[0] == 0.0
+        for values in (data.y, data.z, data.x):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
+        data, spec = _sim_data(n=100, seed=25)
+        rng = RngStream(25, 0).child(STREAM_KEYS["iptw"])
+        _, fit, e, diag = est._ps_fit(data, spec)
+        counts, _, batch, e_b = est._count_plan(data, spec, rng, 20)
+        xi, dirichlet_batch = est._dirichlet_plan(data, spec, rng, 20)
+        for values in (fit.gamma, e, counts, batch.gamma, e_b, xi, dirichlet_batch.gamma):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+        diag["extra"] = 1.0  # each caller extends its own copy
+        assert "extra" not in est._ps_fit(data, spec)[3]
