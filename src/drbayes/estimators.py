@@ -482,11 +482,21 @@ def naive(data, spec=None, cfg=None, rng=None):
     return _result("naive", point, se)
 
 
+@_per_dataset
+def _plain_outcome(data, spec):
+    """``(design, fit)``: the unweighted least-squares fit of the plain
+    outcome design, shared by ``adjusted`` and ``dr``."""
+    design = plain_outcome_design(data, spec)
+    fit = fit_linear_weighted(design, data.y)
+    _freeze(design.values, fit.phi, fit.cov)
+    return design, fit
+
+
 def g_formula_adjusted(data, spec, cfg=None, rng=None):
     """Covariate-adjusted regression estimate: fit the outcome model by
     least squares and standardize over the empirical covariate distribution
     (equal to the treatment coefficient for this additive design)."""
-    fit = fit_linear_weighted(plain_outcome_design(data, spec), data.y)
+    _, fit = _plain_outcome(data, spec)
     point = fit.phi[Z_COL]
     se = observed_info_se_treatment(fit)
     return _result("adjusted", point, se)
@@ -543,7 +553,10 @@ class _OrPsParts:
     diag: dict
 
 
+@_per_dataset
 def _or_ps_parts(data, spec):
+    """The propensity-adjusted outcome fit shared by ``or_ps_info`` and
+    ``or_ps_sandwich``, fit once per data set; callers copy ``diag``."""
     ps_design, ps_fit, e, diag = _ps_fit(data, spec)
     design = ps_outcome_design(data, spec, e)
     fit, used, dropped = _fit_outcome_with_fallback(
@@ -551,6 +564,7 @@ def _or_ps_parts(data, spec):
     )
     if dropped:
         diag["dropped_columns"] = list(dropped)
+    _freeze(used.values, fit.phi, fit.cov)
     return _OrPsParts(ps_design, ps_fit, e, used, fit, dropped, diag)
 
 
@@ -560,7 +574,7 @@ def or_ps_info(data, spec, cfg=None, rng=None):
     parts = _or_ps_parts(data, spec)
     point = parts.outcome_fit.phi[Z_COL]
     se = observed_info_se_treatment(parts.outcome_fit)
-    return _result("or_ps_info", point, se, diagnostics=parts.diag)
+    return _result("or_ps_info", point, se, diagnostics=dict(parts.diag))
 
 
 def or_ps_sandwich(data, spec, cfg=None, rng=None):
@@ -583,7 +597,7 @@ def or_ps_sandwich(data, spec, cfg=None, rng=None):
         treatment_col=Z_COL,
     )
     return _result(
-        "or_ps_sandwich", point, math.sqrt(max(variance, 0.0)), diagnostics=parts.diag
+        "or_ps_sandwich", point, math.sqrt(max(variance, 0.0)), diagnostics=dict(parts.diag)
     )
 
 
@@ -597,8 +611,7 @@ def dr(data, spec, cfg, rng):
     standardization; bootstrap standard error refitting both models."""
     _, _, e_raw, diag = _ps_fit(data, spec)
     e = _clamp_ps(e_raw)
-    outcome_design = plain_outcome_design(data, spec)
-    outcome_fit = fit_linear_weighted(outcome_design, data.y)
+    outcome_design, outcome_fit = _plain_outcome(data, spec)
     y, z, n = data.y, data.z, data.n
 
     phi = outcome_fit.phi
@@ -697,13 +710,15 @@ def _dirichlet_rows(gen, m, n):
 @_per_dataset
 def _dirichlet_plan(data, spec, rng, n_draws):
     """Bayesian-bootstrap plan shared by the two-step and importance-sampling
-    estimators: ``(xi, batch)``, Dirichlet weight rows drawn from ``rng`` and
-    the treatment model refit to each row (warm-started)."""
+    estimators: ``(xi, batch, e)``, Dirichlet weight rows drawn from ``rng``,
+    the treatment model refit to each row (warm-started) and its unclamped
+    fitted probabilities."""
     design, fit, _, _ = _ps_model(data, spec)
     xi = _dirichlet_rows(rng.child(_SUB_WEIGHTS).generator(), n_draws, data.n)
     batch = fit_logistic_weighted_many(design.values, data.z, xi, start=fit.gamma)
-    _freeze(xi, batch.gamma, batch.converged)
-    return xi, batch
+    e = _batch_propensity(batch, design.values)
+    _freeze(xi, batch.gamma, batch.converged, e)
+    return xi, batch, e
 
 
 def _with_cubic_basis(base, e_rows):
@@ -750,8 +765,7 @@ def _two_step_draws(data, spec, cfg, rng):
     m = cfg.n_draws
     gen_noise = rng.child(_SUB_NOISE).generator()
 
-    _, ps_batch = _dirichlet_plan(data, spec, rng, m)
-    e = _batch_propensity(ps_batch, _ps_model(data, spec)[0].values)
+    _, ps_batch, e = _dirichlet_plan(data, spec, rng, m)
     base = plain_outcome_design(data, spec).values
     designs = _with_cubic_basis(base, e)
     lin_batch = fit_linear_weighted_many(designs, data.y, weights=None)
@@ -972,8 +986,8 @@ def _wlb_batch(data, spec, cfg, rng, weight_outcome_by_w):
     """
     y, z = data.y, data.z
     m = cfg.n_draws
-    xi, ps_batch = _dirichlet_plan(data, spec, rng, m)
-    e = _clamp_ps(_batch_propensity(ps_batch, _ps_model(data, spec)[0].values))
+    xi, ps_batch, e_raw = _dirichlet_plan(data, spec, rng, m)
+    e = _clamp_ps(e_raw)
     if cfg.stabilize:
         pbar = (xi * z).sum(axis=1)
         w = np.where(z == 1.0, pbar[:, None] / e, (1.0 - pbar[:, None]) / (1.0 - e))
@@ -1140,7 +1154,7 @@ def _naive_point(data, spec, cfg):
 
 
 def _adjusted_point(data, spec, cfg):
-    return float(fit_linear_weighted(plain_outcome_design(data, spec), data.y).phi[Z_COL])
+    return float(_plain_outcome(data, spec)[1].phi[Z_COL])
 
 
 def _iptw_point(data, spec, cfg):
@@ -1157,8 +1171,7 @@ def _or_ps_point(data, spec, cfg):
 def _dr_point(data, spec, cfg):
     _, _, e_raw, _ = _ps_fit(data, spec)
     e = _clamp_ps(e_raw)
-    design = plain_outcome_design(data, spec)
-    fit = fit_linear_weighted(design, data.y)
+    design, fit = _plain_outcome(data, spec)
     phi = fit.phi
     m_obs = design.values @ phi
     m0 = m_obs - data.z * phi[Z_COL]

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import qr
-from scipy.special import expit as _expit_raw
 
-from .numerics import expit
+from .numerics import expit, logistic_
 
 __all__ = [
     "DesignMatrix",
@@ -339,19 +338,26 @@ def fit_logistic_weighted_many(
     for iterations in range(1, max_iter + 1):
         if active.size == 0:
             break
-        wa = wnorm[active]
-        mu = _expit_raw(gamma[active] @ xv.T)
-        score = (wa * (z - mu)) @ xv
+        # A slice while every row is active: views instead of row copies.
+        rows = slice(None) if active.size == m else active
+        wa = wnorm[rows]
+        mu = logistic_(gamma[rows] @ xv.T)
+        r = z - mu
+        r *= wa
+        score = r @ xv
         done = np.abs(score).max(axis=1) < score_tol
-        converged[active[done]] = True
-        keep = ~done
-        active = active[keep]
-        if active.size == 0:
-            break
-        mu = mu[keep]
-        score = score[keep]
-        irls_w = wa[keep] * mu * (1.0 - mu)
-        info = _scatter_symmetric(irls_w @ pairs, p, iu)
+        if done.any():
+            converged[active[done]] = True
+            keep = ~done
+            active = active[keep]
+            if active.size == 0:
+                break
+            mu, wa, r, score = mu[keep], wa[keep], r[keep], score[keep]
+        # IRLS weights wa * mu * (1 - mu), in place over mu with r as scratch.
+        np.subtract(1.0, mu, out=r)
+        mu *= wa
+        mu *= r
+        info = _scatter_symmetric(mu @ pairs, p, iu)
         try:
             step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
@@ -480,10 +486,14 @@ def fit_linear_weighted_many(x, y, weights=None):
                 a_inv[k] = np.nan
     phi[~ok] = np.nan
     if shared_design:
-        resid = y - phi @ xv.T
+        resid = phi @ xv.T
     else:
-        resid = y - np.matmul(xv, phi[:, :, None])[:, :, 0]
-    sigma2 = np.sum(wnorm * resid**2, axis=1) / n
+        resid = np.matmul(xv, phi[:, :, None])[:, :, 0]
+    # Weighted squared residuals, in place in one buffer.
+    np.subtract(y, resid, out=resid)
+    resid *= resid
+    resid *= wnorm
+    sigma2 = resid.sum(axis=1) / n
     cov = sigma2[:, None, None] * a_inv
     ok &= np.all(np.isfinite(phi), axis=1)
     return BatchLinear(phi=phi, sigma2=sigma2, cov=cov, ok=ok)

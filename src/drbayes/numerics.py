@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.special import expit as _expit_raw
 
 __all__ = [
     "PROB_CLIP",
@@ -22,6 +21,7 @@ __all__ = [
     "SingularMatrixError",
     "as_generator",
     "expit",
+    "logistic_",
     "sample_dirichlet",
     "sample_mvn",
     "cholesky_solve",
@@ -79,13 +79,32 @@ def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
     return rng
 
 
+def logistic_(x):
+    """Overwrite the float array ``x`` with ``1 / (1 + exp(-x))`` and return it.
+
+    Four in-place passes (negate, exponentiate, add one, reciprocal) and no
+    temporaries.  ``exp`` overflows to ``inf`` for ``x < -709``, which gives
+    the correct limit 0, so the overflow warning is suppressed.  NaN stays
+    NaN.
+    """
+    with np.errstate(over="ignore"):
+        np.negative(x, out=x)
+        np.exp(x, out=x)
+    x += 1.0
+    np.reciprocal(x, out=x)
+    return x
+
+
 def expit(x):
     """Logistic function ``1 / (1 + exp(-x))`` clipped to ``[PROB_CLIP, 1 - PROB_CLIP]``.
 
-    Accepts scalars or arrays.  Clipping absorbs overflow for extreme
-    arguments, so no domain errors are raised.
+    Accepts scalars or arrays (a scalar in, a scalar out) and never writes to
+    its argument.  Clipping absorbs overflow for extreme arguments, so no
+    domain errors are raised.
     """
-    return np.clip(_expit_raw(x), PROB_CLIP, 1.0 - PROB_CLIP)
+    out = logistic_(np.array(x, dtype=float))
+    np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP, out=out)
+    return out[()]
 
 
 def sample_dirichlet(n, rng):

@@ -1,0 +1,256 @@
+"""Batched fits against single fits, and the batched IRLS against its
+previous implementation.
+
+The property tests draw small data sets with hypothesis and check that every
+row of a batched fit equals the single fit under the same weights.  The two
+IRLS loops stop by different rules (the single fit also stops when the
+log-likelihood stalls), so coefficients are compared at the precision both
+rules guarantee, not bit for bit.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from scipy.special import expit as scipy_expit
+
+from drbayes import estimators as est
+from drbayes.glm import (
+    SEPARATION_BOUND,
+    BatchLogistic,
+    NonConvergenceError,
+    _scatter_symmetric,
+    fit_linear_weighted,
+    fit_linear_weighted_many,
+    fit_logistic_weighted,
+    fit_logistic_weighted_many,
+)
+from drbayes.numerics import RngStream
+from drbayes.simulation import apply_scenario, generate_data
+
+PROPERTY = settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+GAMMA_ATOL = 1e-7
+
+
+def oracle_fit_logistic_weighted_many(x, z, weights, max_iter=100, score_tol=1e-8, start=None):
+    """The batched IRLS as it was before the in-place kernel: scipy's
+    ``expit``, fresh temporaries and row copies on every iteration."""
+    xv = np.asarray(x, dtype=float)
+    z = np.asarray(z, dtype=float)
+    m, n = weights.shape
+    p = xv.shape[1]
+    row_means = weights.mean(axis=1, keepdims=True)
+    wnorm = weights / np.where(row_means > 0, row_means, 1.0)
+
+    if start is None:
+        gamma = np.zeros((m, p))
+    else:
+        gamma = np.tile(np.asarray(start, dtype=float), (m, 1))
+    iu = np.triu_indices(p)
+    pairs = xv[:, iu[0]] * xv[:, iu[1]]
+    converged = np.zeros(m, dtype=bool)
+    active = np.flatnonzero(row_means[:, 0] > 0)
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        if active.size == 0:
+            break
+        wa = wnorm[active]
+        mu = scipy_expit(gamma[active] @ xv.T)
+        score = (wa * (z - mu)) @ xv
+        done = np.abs(score).max(axis=1) < score_tol
+        converged[active[done]] = True
+        keep = ~done
+        active = active[keep]
+        if active.size == 0:
+            break
+        mu = mu[keep]
+        score = score[keep]
+        irls_w = wa[keep] * mu * (1.0 - mu)
+        info = _scatter_symmetric(irls_w @ pairs, p, iu)
+        try:
+            step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
+        except np.linalg.LinAlgError:
+            step = np.zeros((active.size, p))
+            dead = np.zeros(active.size, dtype=bool)
+            for row in range(active.size):
+                try:
+                    step[row] = np.linalg.solve(info[row], score[row])
+                except np.linalg.LinAlgError:
+                    dead[row] = True
+            gamma[active[dead]] = np.nan
+            active = active[~dead]
+            step = step[~dead]
+        gnew = gamma[active] + step
+        bad = ~np.all(np.isfinite(gnew), axis=1) | (np.abs(gnew).max(axis=1) > 1e3)
+        gnew[bad] = np.nan
+        gamma[active] = gnew
+        active = active[~bad]
+    return BatchLogistic(
+        gamma=gamma,
+        converged=converged,
+        separation=np.abs(np.where(np.isfinite(gamma), gamma, 0.0)).max(axis=1)
+        > SEPARATION_BOUND,
+        iterations=iterations,
+    )
+
+
+def _single(x, z, w):
+    """Single fit under weights ``w``, keeping the last iterate of a fit that
+    does not converge."""
+    try:
+        return fit_logistic_weighted(x, z, weights=w)
+    except NonConvergenceError as err:
+        return err.last_fit
+
+
+@st.composite
+def logistic_data(draw, n_min=20, n_max=60):
+    """Design ``(1, x1, x2)`` and a treatment with both arms, drawn from a
+    logistic model with moderate coefficients."""
+    n = draw(st.integers(n_min, n_max))
+    seed = draw(st.integers(0, 2**32 - 1))
+    slope = draw(st.floats(-1.5, 1.5))
+    gen = np.random.default_rng(seed)
+    x = np.column_stack([np.ones(n), gen.standard_normal((n, 2))])
+    z = (gen.random(n) < scipy_expit(0.2 + slope * x[:, 1] - 0.5 * x[:, 2])).astype(float)
+    z[:2] = (0.0, 1.0)
+    return x, z
+
+
+def _estimable(x, z, w):
+    """Whether the rows with positive weight hold both arms with room to
+    spare, so the weighted MLE exists and is unique on all but rare draws."""
+    on = w > 0
+    return z[on].sum() >= 4 and (1.0 - z[on]).sum() >= 4 and on.sum() >= 3 * x.shape[1]
+
+
+class TestBatchedEqualsSingle:
+    @PROPERTY
+    @given(data=logistic_data(), rows=st.integers(1, 4), pattern=st.data())
+    def test_zero_weights_and_all_zero_rows(self, data, rows, pattern):
+        x, z = data
+        n = z.shape[0]
+        w = np.empty((rows + 1, n))
+        for k in range(rows):
+            w[k] = pattern.draw(
+                st.lists(
+                    st.one_of(st.just(0.0), st.floats(0.05, 5.0)), min_size=n, max_size=n
+                )
+            )
+        w[rows] = 0.0  # an all-zero row is never fit and never converges
+        batch = fit_logistic_weighted_many(x, z, w)
+        assert not batch.converged[rows]
+        np.testing.assert_array_equal(batch.gamma[rows], 0.0)
+        for k in range(rows):
+            if not _estimable(x, z, w[k]):
+                continue
+            single = _single(x, z, w[k])
+            if not single.converged or single.separation:
+                continue
+            assert batch.converged[k]
+            assert not batch.separation[k]
+            np.testing.assert_allclose(batch.gamma[k], single.gamma, rtol=0, atol=GAMMA_ATOL)
+
+    @PROPERTY
+    @given(data=logistic_data(), counts=st.data())
+    def test_duplicated_rows_equal_integer_counts(self, data, counts):
+        x, z = data
+        n = z.shape[0]
+        c = np.array(counts.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), float)
+        if not _estimable(x, z, c):
+            return
+        idx = np.repeat(np.arange(n), c.astype(int))
+        physical = _single(x[idx], z[idx], None)
+        batch = fit_logistic_weighted_many(x, z, c[None, :])
+        assert batch.converged[0] == physical.converged
+        assert batch.separation[0] == physical.separation
+        if physical.converged:
+            np.testing.assert_allclose(batch.gamma[0], physical.gamma, rtol=0, atol=GAMMA_ATOL)
+        # Linear fits: the count-weighted row is the fit to the copies.
+        y = x @ np.array([0.5, 1.0, -1.0]) + np.sin(np.arange(n))
+        lin = fit_linear_weighted_many(x, y, c[None, :])
+        ref = fit_linear_weighted(x[idx], y[idx])
+        np.testing.assert_allclose(lin.phi[0], ref.phi, rtol=1e-9, atol=1e-10)
+        assert lin.sigma2[0] == pytest.approx(ref.sigma2, rel=1e-9, abs=1e-14)
+
+    @PROPERTY
+    @given(
+        n=st.integers(30, 80),
+        spread=st.floats(0.002, 0.5),
+        overlap=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_near_separation_flags_agree(self, n, spread, overlap, seed):
+        # x1 separates the arms except for ``overlap`` swapped pairs around
+        # the threshold, so the MLE exists but its slope grows as ``spread``
+        # shrinks, past the separation bound for the narrowest spreads.
+        gen = np.random.default_rng(seed)
+        x1 = np.sort(gen.uniform(-spread, spread, n))
+        z = (x1 > 0).astype(float)
+        below = np.flatnonzero(z == 0.0)[-overlap:]
+        above = np.flatnonzero(z == 1.0)[:overlap]
+        if below.size < overlap or above.size < overlap:
+            return
+        z[below], z[above] = 1.0, 0.0
+        x = np.column_stack([np.ones(n), x1])
+        w = np.vstack([np.ones(n), gen.exponential(size=n)])
+        batch = fit_logistic_weighted_many(x, z, w)
+        for k in range(2):
+            single = _single(x, z, w[k])
+            if np.abs(single.gamma).max() > 1e2:
+                continue  # beyond the batched divergence guard's reach
+            assert batch.converged[k] == single.converged
+            assert batch.separation[k] == single.separation
+            if single.converged:
+                np.testing.assert_allclose(
+                    batch.gamma[k], single.gamma, rtol=1e-8, atol=GAMMA_ATOL
+                )
+
+
+def _treatment_plan(n, m, kind, seed):
+    """A replication's treatment design, its full-sample fit and a weight
+    plan of ``m`` rows: bootstrap counts or Dirichlet rows."""
+    data = generate_data(n, RngStream(seed, 0))
+    spec = apply_scenario(data, "I")
+    design, fit, _, _ = est._ps_model(data, spec)
+    gen = RngStream(seed, 1).generator()
+    if kind == "counts":
+        weights, _ = est._bootstrap_counts(data.z, m, gen)
+    else:
+        weights = est._dirichlet_rows(gen, m, n)
+    return design.values, data.z, weights, fit.gamma
+
+
+class TestAgainstPreviousKernel:
+    @pytest.mark.parametrize(
+        "n, m, kind",
+        [(500, 200, "counts"), (500, 200, "dirichlet"), (5000, 50, "dirichlet")],
+    )
+    @pytest.mark.parametrize("warm", [True, False])
+    def test_plan_matches_oracle(self, n, m, kind, warm):
+        x, z, w, start = _treatment_plan(n, m, kind, seed=n + m)
+        start = start if warm else None
+        new = fit_logistic_weighted_many(x, z, w, start=start)
+        old = oracle_fit_logistic_weighted_many(x, z, w, start=start)
+        assert new.iterations == old.iterations
+        np.testing.assert_array_equal(new.converged, old.converged)
+        np.testing.assert_array_equal(new.separation, old.separation)
+        assert new.converged.all()
+        np.testing.assert_allclose(new.gamma, old.gamma, rtol=1e-12, atol=0)
+
+    def test_rows_dropping_out_early_match_oracle(self):
+        # Rows equal to the full-sample weights converge at the warm start
+        # and leave the working set in the first iteration; the rest go on.
+        x, z, w, start = _treatment_plan(500, 40, "dirichlet", seed=9)
+        w[::4] = 1.0
+        new = fit_logistic_weighted_many(x, z, w, start=start)
+        old = oracle_fit_logistic_weighted_many(x, z, w, start=start)
+        assert new.iterations == old.iterations > 1
+        np.testing.assert_array_equal(new.converged, old.converged)
+        np.testing.assert_allclose(new.gamma, old.gamma, rtol=1e-12, atol=0)

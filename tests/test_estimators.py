@@ -488,6 +488,31 @@ class TestSharedPlan:
             "fit_logistic_weighted_many": 2 * SHARED_CONFIG.reps,
         }
 
+    def test_full_sample_outcome_fits_shared(self, monkeypatch):
+        # adjusted and dr share the plain fit, or_ps_info and or_ps_sandwich
+        # the propensity-adjusted one; clever and or_iptw fit their own.
+        calls = []
+        inner = est.fit_linear_weighted
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(est, "fit_linear_weighted", counting)
+        for rep in range(SHARED_CONFIG.reps):
+            run_replication(SHARED_CONFIG, rep)
+        assert len(calls) == 4 * SHARED_CONFIG.reps
+
+        data, spec = _sim_data(n=100, seed=26)
+        info = est.or_ps_info(data, spec)
+        info.diagnostics["extra"] = 1.0  # each caller extends its own copy
+        assert "extra" not in est.or_ps_sandwich(data, spec).diagnostics
+        _, plain = est._plain_outcome(data, spec)
+        parts = est._or_ps_parts(data, spec)
+        for values in (plain.phi, plain.cov, parts.outcome_fit.phi, parts.outcome_design.values):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 1.0
+
     def test_bayesian_estimators_share_dirichlet_refits(self):
         data, spec, rep_rng = _replication_data(SHARED_CONFIG, 0)
         cfg = SHARED_CONFIG.resampling()
@@ -546,8 +571,8 @@ class TestSharedPlan:
         rng = RngStream(25, 0).child(STREAM_KEYS["iptw"])
         _, fit, e, diag = est._ps_fit(data, spec)
         counts, _, batch, e_b = est._count_plan(data, spec, rng, 20)
-        xi, dirichlet_batch = est._dirichlet_plan(data, spec, rng, 20)
-        for values in (fit.gamma, e, counts, batch.gamma, e_b, xi, dirichlet_batch.gamma):
+        xi, dirichlet_batch, e_d = est._dirichlet_plan(data, spec, rng, 20)
+        for values in (fit.gamma, e, counts, batch.gamma, e_b, xi, dirichlet_batch.gamma, e_d):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
         diag["extra"] = 1.0  # each caller extends its own copy

@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit as scipy_expit
 
 from drbayes.numerics import (
+    PROB_CLIP,
     DecompositionError,
     InvalidArgumentError,
     RngStream,
@@ -9,6 +13,7 @@ from drbayes.numerics import (
     batch_means_error,
     cholesky_solve,
     expit,
+    logistic_,
     sample_dirichlet,
     sample_mvn,
 )
@@ -57,6 +62,69 @@ class TestExpit:
         assert expit(-1e4) == pytest.approx(1e-12)
         vals = expit(np.array([-1e308, 0.0, 1e308]))
         assert np.all(np.isfinite(vals))
+
+
+def _ulps(a, b):
+    """Distance in units in the last place between equal-sign doubles."""
+    return np.abs(a.view(np.int64) - b.view(np.int64))
+
+
+# Where exp(-x) lies in [2^53, 2^54), 1 + exp(-x) is a rounding tie, and a
+# one-ulp difference in exp can move the result by up to four ulps.
+TIE_WINDOW = (-37.5, -36.7)
+
+
+class TestLogisticKernel:
+    grid = np.linspace(-750.0, 750.0, 1_500_001)
+
+    def test_matches_scipy_within_2_ulp_outside_the_tie_window(self):
+        ours = logistic_(self.grid.copy())
+        ulps = _ulps(ours, scipy_expit(self.grid))
+        tie = (self.grid > TIE_WINDOW[0]) & (self.grid < TIE_WINDOW[1])
+        assert ulps[~tie].max() <= 2
+        assert ulps[tie].max() <= 4
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).nmant < 63, reason="needs extended-precision long double"
+    )
+    def test_within_2_ulp_of_the_exact_value(self):
+        x = self.grid[self.grid > -700.0]  # below, both give 0 for a subnormal
+        exact = (1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))).astype(float)
+        assert _ulps(logistic_(x.copy()), exact).max() <= 2
+
+    def test_extremes_match_scipy(self):
+        x = np.array([1e308, -1e308, np.inf, -np.inf, np.nan, 0.0, -0.0])
+        np.testing.assert_array_equal(logistic_(x.copy()), scipy_expit(x))
+
+    def test_no_runtime_warning(self):
+        x = np.array([-1e308, -750.0, -710.0, 0.0, 710.0, 1e308, np.inf, -np.inf, np.nan])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            logistic_(x.copy())
+            expit(x)
+            expit(-1e308)
+
+    def test_in_place_and_argument_untouched(self):
+        x = np.array([-2.0, 0.0, 3.0])
+        out = logistic_(x)
+        assert out is x
+        y = np.array([-2.0, 0.0, 3.0])
+        expit(y)
+        np.testing.assert_array_equal(y, [-2.0, 0.0, 3.0])
+
+    def test_scalar_in_scalar_out(self):
+        for value in (0.3, np.float64(-1.2), 2, -1e308):
+            out = expit(value)
+            assert np.ndim(out) == 0 and not isinstance(out, np.ndarray)
+        assert expit(np.array([0.3])).shape == (1,)
+
+    def test_clipping_unchanged(self):
+        assert expit(-1e4) == PROB_CLIP
+        assert expit(1e4) == 1.0 - PROB_CLIP
+        x = self.grid[::10]
+        np.testing.assert_array_equal(
+            expit(x), np.clip(logistic_(x.copy()), PROB_CLIP, 1.0 - PROB_CLIP)
+        )
 
 
 class TestSampleDirichlet:
