@@ -14,6 +14,13 @@ Conventions used throughout:
 * fitted treatment probabilities are clipped to
   ``[WEIGHT_CLIP, 1 - WEIGHT_CLIP]`` before entering any inverse weight,
   bounding single-observation weights by 1e6;
+* every resampling estimator is one kernel over a weight matrix ``W`` (one
+  fit per row) and its clamped fitted treatment probabilities ``E``,
+  returning a value and a success flag per row.  The bootstrap plan stacks
+  a uniform row 0, which carries the full-sample treatment fit and gives
+  the point estimate, above multinomial count rows, whose spread gives the
+  standard error; the Bayesian-bootstrap plan holds flat-Dirichlet rows,
+  one posterior draw each;
 * nonparametric-bootstrap refits are computed as count-weighted fits on the
   original rows, which is likelihood-identical to refitting on the
   physically resampled data;
@@ -45,7 +52,7 @@ from .glm import (
     propensity,
     ps_adjusted_treatment_variance,
 )
-from .numerics import RngStream, _psd_factor, as_generator, expit
+from .numerics import _psd_factor, expit
 
 __all__ = [
     "Dataset",
@@ -75,13 +82,9 @@ __all__ = [
     "joint_estimation",
     "importance_sampling",
     "importance_sampling_dr",
-    "importance_sampling_value",
-    "importance_sampling_dr_value",
-    "bootstrap_se",
     "ESTIMATORS",
     "ESTIMATOR_ORDER",
     "ESTIMATOR_LABELS",
-    "POINT_FUNCTIONS",
     "STREAM_KEYS",
 ]
 
@@ -321,6 +324,10 @@ def _ps_model(data: Dataset, spec: CovariateSpec):
         fit = fit_logistic_weighted(design, data.z)
     except NonConvergenceError as err:
         fit = err.last_fit
+    if not np.all(np.isfinite(fit.gamma)):
+        raise EstimatorError(
+            "treatment-model fit diverged (IRLS abandoned it; separated treatment arms?)"
+        )
     e = propensity(fit, design)
     _freeze(design.values, fit.gamma, fit.cov, e)
     diag = {
@@ -339,21 +346,14 @@ def _ps_fit(data: Dataset, spec: CovariateSpec):
     return design, fit, e, dict(diag)
 
 
-def _stabilizer(z, stabilize, weights=None):
-    """Numerator of the treatment weights: the (weighted) marginal treated
-    fraction when stabilizing, one otherwise."""
+def _ipw_rows(z, W, E, stabilize):
+    """Inverse treatment weights for each row of ``W``; when stabilizing,
+    the numerators are the row's weighted treated fraction and its
+    complement."""
     if not stabilize:
-        return 1.0, 1.0
-    if weights is None:
-        pbar = float(np.mean(z))
-    else:
-        pbar = float(np.sum(weights * z) / np.sum(weights))
-    return pbar, 1.0 - pbar
-
-
-def _treatment_weights(z, e, stabilize, xi=None):
-    num1, num0 = _stabilizer(z, stabilize, weights=xi)
-    return np.where(z == 1.0, num1 / e, num0 / (1.0 - e))
+        return np.where(z == 1.0, 1.0 / E, 1.0 / (1.0 - E))
+    pbar = ((W @ z) / W.sum(axis=1))[:, None]
+    return np.where(z == 1.0, pbar / E, (1.0 - pbar) / (1.0 - E))
 
 
 def dr_contrast(y, z, e, m_obs, m1, m0, weights):
@@ -373,7 +373,10 @@ def dr_contrast(y, z, e, m_obs, m1, m0, weights):
 # bootstrap plumbing
 
 
-def _resample_index_matrix(z, n_boot, gen, max_tries=1000):
+MAX_RESAMPLE_TRIES = 1000
+
+
+def _resample_index_matrix(z, n_boot, gen):
     """Index matrix of ``n_boot`` resamples, each containing both arms.
 
     Drawn as one block; single-arm rows are then redrawn sequentially (the
@@ -384,7 +387,7 @@ def _resample_index_matrix(z, n_boot, gen, max_tries=1000):
     treated = z[idx].sum(axis=1)
     redraws = 0
     for row in np.flatnonzero((treated <= 0.0) | (treated >= n)):
-        for _ in range(max_tries):
+        for _ in range(MAX_RESAMPLE_TRIES):
             candidate = gen.integers(0, n, size=n)
             redraws += 1
             t = z[candidate].sum()
@@ -418,55 +421,47 @@ def _check_draw_failures(n_failed, total, what):
         )
 
 
-def _batch_propensity(batch, design_values):
-    """Per-row fitted probabilities of batched treatment refits (failed rows
-    evaluated at zero coefficients; callers drop them)."""
-    with np.errstate(invalid="ignore"):
-        return expit(np.where(np.isfinite(batch.gamma), batch.gamma, 0.0) @ design_values.T)
+def _treatment_refits(data, spec, W):
+    """The treatment model refit under each row of ``W``, warm-started at
+    the full-sample fit: ``(batch, e)`` with the unclamped fitted
+    probabilities (failed rows evaluated at zero coefficients; callers drop
+    them)."""
+    design, fit, _, _ = _ps_model(data, spec)
+    batch = fit_logistic_weighted_many(design.values, data.z, W, start=fit.gamma)
+    e = expit(np.where(np.isfinite(batch.gamma), batch.gamma, 0.0) @ design.values.T)
+    return batch, e
 
 
 @_per_dataset
 def _count_plan(data, spec, rng, n_boot):
     """Bootstrap plan shared by ``iptw``, ``dr``, ``clever`` and ``or_iptw``:
-    ``(counts, redraws, batch, e_b)``, a count matrix drawn from ``rng``, the
-    treatment model refit to each row (warm-started) and its clipped fits."""
-    design, fit, _, _ = _ps_model(data, spec)
+    ``(W, E, ok, redraws)``.  Row 0 of ``W`` is uniform and carries the
+    full-sample treatment fit; rows 1.. are a count matrix drawn from
+    ``rng``, each with its own treatment refit.  ``E`` holds the clamped
+    fitted probabilities and ``ok`` whether each row's treatment fit
+    converged (row 0 always: a finite full-sample fit is kept, flagged)."""
+    _, _, e, _ = _ps_model(data, spec)
     counts, redraws = _bootstrap_counts(data.z, n_boot, rng.child(_SUB_WEIGHTS).generator())
-    batch = fit_logistic_weighted_many(design.values, data.z, counts, start=fit.gamma)
-    e_b = _clamp_ps(_batch_propensity(batch, design.values))
-    _freeze(counts, batch.gamma, batch.converged, e_b)
-    return counts, redraws, batch, e_b
+    batch, e_b = _treatment_refits(data, spec, counts)
+    W = np.vstack([np.ones(data.n), counts])
+    E = _clamp_ps(np.vstack([e, e_b]))
+    ok = np.concatenate([[True], batch.converged])
+    _freeze(W, E, ok)
+    return W, E, ok, redraws
 
 
-def _bootstrap_result(method, point, pts, ok, redraws, diag):
-    """Result with the spread of the successful bootstrap points as SE."""
-    _check_draw_failures(int((~ok).sum()), ok.shape[0], "bootstrap refits")
-    diag["boot_failures"] = int((~ok).sum())
+def _bootstrap_result(method, values, ok, redraws, diag):
+    """Result with the uniform row 0 as the point and the spread of the
+    successful count rows as SE."""
+    if not ok[0]:
+        raise EstimatorError(f"{method}: the full-sample fit is rank deficient")
+    boot_ok = ok[1:]
+    n_failed = int((~boot_ok).sum())
+    _check_draw_failures(n_failed, boot_ok.shape[0], "bootstrap refits")
+    diag["boot_failures"] = n_failed
     diag["boot_degenerate_redraws"] = redraws
-    return _result(method, point, float(np.std(pts[ok], ddof=1)), diagnostics=diag)
-
-
-def bootstrap_se(point_fn, data, spec, cfg, rng):
-    """Nonparametric bootstrap standard error of an arbitrary point estimator.
-
-    ``point_fn(data, spec, cfg) -> float`` is re-evaluated on ``cfg.n_boot``
-    resamples drawn with replacement (single-arm resamples redrawn).  Errors
-    on individual resamples are tolerated up to 10%.
-
-    Returns ``(se, diagnostics)``.
-    """
-    gen = rng.child(_SUB_WEIGHTS).generator() if isinstance(rng, RngStream) else as_generator(rng)
-    idx, redraws = _resample_index_matrix(data.z, cfg.n_boot, gen)
-    points = []
-    failures = 0
-    for b in range(cfg.n_boot):
-        try:
-            points.append(float(point_fn(data.subset(idx[b]), spec, cfg)))
-        except Exception:
-            failures += 1
-    _check_draw_failures(failures, cfg.n_boot, "bootstrap resamples")
-    se = float(np.std(points, ddof=1))
-    return se, {"boot_failures": failures, "boot_degenerate_redraws": redraws}
+    se = float(np.std(values[1:][boot_ok], ddof=1))
+    return _result(method, values[0], se, diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -482,46 +477,39 @@ def naive(data, spec=None, cfg=None, rng=None):
     return _result("naive", point, se)
 
 
-@_per_dataset
-def _plain_outcome(data, spec):
-    """``(design, fit)``: the unweighted least-squares fit of the plain
-    outcome design, shared by ``adjusted`` and ``dr``."""
-    design = plain_outcome_design(data, spec)
-    fit = fit_linear_weighted(design, data.y)
-    _freeze(design.values, fit.phi, fit.cov)
-    return design, fit
-
-
 def g_formula_adjusted(data, spec, cfg=None, rng=None):
     """Covariate-adjusted regression estimate: fit the outcome model by
     least squares and standardize over the empirical covariate distribution
     (equal to the treatment coefficient for this additive design)."""
-    _, fit = _plain_outcome(data, spec)
-    point = fit.phi[Z_COL]
-    se = observed_info_se_treatment(fit)
-    return _result("adjusted", point, se)
+    fit = fit_linear_weighted(plain_outcome_design(data, spec), data.y)
+    return _result("adjusted", fit.phi[Z_COL], observed_info_se_treatment(fit))
+
+
+def _iptw_rows(data, W, E):
+    """Weighted mean of ``y z / E - y (1 - z) / (1 - E)`` per row of ``W``;
+    returns ``(values, ok)``."""
+    y, z = data.y, data.z
+    values = np.sum(W * (y * z / E - y * (1.0 - z) / (1.0 - E)), axis=1) / W.sum(axis=1)
+    return values, np.isfinite(values)
 
 
 def iptw(data, spec, cfg, rng):
     """Inverse probability of treatment weighting with unstabilized weights;
     bootstrap standard error refitting the treatment model per resample."""
-    _, _, e_raw, diag = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    y, z, n = data.y, data.z, data.n
-    point = float(np.mean(y * z / e - y * (1.0 - z) / (1.0 - e)))
-    diag["weight_min"] = float(np.min(np.where(z == 1.0, 1.0 / e, 1.0 / (1.0 - e))))
-    diag["weight_max"] = float(np.max(np.where(z == 1.0, 1.0 / e, 1.0 / (1.0 - e))))
-
-    counts, redraws, batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
-    pts = np.sum(counts * (y * z / e_b - y * (1.0 - z) / (1.0 - e_b)), axis=1) / n
-    return _bootstrap_result("iptw", point, pts, batch.converged, redraws, diag)
+    diag = _ps_fit(data, spec)[3]
+    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    w = _ipw_rows(data.z, W[:1], E[:1], stabilize=False)
+    diag["weight_min"] = float(w.min())
+    diag["weight_max"] = float(w.max())
+    values, fit_ok = _iptw_rows(data, W, E)
+    return _bootstrap_result("iptw", values, ok & fit_ok, redraws, diag)
 
 
 # ---------------------------------------------------------------------------
 # outcome regression with propensity adjustment
 
 
-def _fit_outcome_with_fallback(design, y, weights=None, droppable=()):
+def _fit_outcome_with_fallback(design, y, droppable):
     """Least squares fit that falls back to dropping the discretionary
     ``droppable`` columns when the design is collinear.
 
@@ -530,7 +518,7 @@ def _fit_outcome_with_fallback(design, y, weights=None, droppable=()):
     augmentation; the base columns are part of the estimator's contract).
     """
     try:
-        return fit_linear_weighted(design, y, weights), design, ()
+        return fit_linear_weighted(design, y), design, ()
     except SingularDesignError:
         dropped = tuple(c for c in design.column_labels if c in droppable)
         if not dropped:
@@ -539,7 +527,7 @@ def _fit_outcome_with_fallback(design, y, weights=None, droppable=()):
         reduced = DesignMatrix(
             design.values[:, keep], [design.column_labels[j] for j in keep]
         )
-        return fit_linear_weighted(reduced, y, weights), reduced, dropped
+        return fit_linear_weighted(reduced, y), reduced, dropped
 
 
 @dataclass
@@ -605,97 +593,83 @@ def or_ps_sandwich(data, spec, cfg=None, rng=None):
 # doubly robust estimators
 
 
+def _dr_rows(data, spec, W, E):
+    """Doubly robust contrast per row of ``W``: the weighted
+    inverse-probability residual term plus the treatment coefficient of the
+    ``W``-weighted plain outcome fit (its standardization term).  Returns
+    ``(values, ok, residual_terms)``."""
+    y, z = data.y, data.z
+    design = plain_outcome_design(data, spec).values
+    lin = fit_linear_weighted_many(design, y, W)
+    m_obs = lin.phi @ design.T
+    residual = np.sum(W * (y - m_obs) * clever_covariate(z, E), axis=1) / W.sum(axis=1)
+    return residual + lin.phi[:, Z_COL], lin.ok, residual
+
+
 def dr(data, spec, cfg, rng):
     """Semi-parametric doubly robust estimator: treatment-model fit on the
     b-columns, outcome model on the s-columns, residual reweighting plus
     standardization; bootstrap standard error refitting both models."""
-    _, _, e_raw, diag = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    outcome_design, outcome_fit = _plain_outcome(data, spec)
-    y, z, n = data.y, data.z, data.n
+    diag = _ps_fit(data, spec)[3]
+    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    values, fit_ok, residual = _dr_rows(data, spec, W, E)
+    diag["residual_term"] = float(residual[0])
+    diag["model_term"] = float(values[0] - residual[0])
+    return _bootstrap_result("dr", values, ok & fit_ok, redraws, diag)
 
-    phi = outcome_fit.phi
-    m_obs = outcome_design.values @ phi
-    m0 = m_obs - z * phi[Z_COL]
-    m1 = m0 + phi[Z_COL]
-    uniform = np.full(n, 1.0 / n)
-    point, residual_term, model_term = dr_contrast(y, z, e, m_obs, m1, m0, uniform)
-    diag["residual_term"] = residual_term
-    diag["model_term"] = model_term
 
-    counts, redraws, ps_batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
-    lin_batch = fit_linear_weighted_many(outcome_design.values, y, counts)
-    ok = ps_batch.converged & lin_batch.ok
-    m_obs_b = lin_batch.phi @ outcome_design.values.T
-    cc_b = z / e_b - (1.0 - z) / (1.0 - e_b)
-    pts = (
-        np.sum(counts * (y - m_obs_b) * cc_b, axis=1) / n
-        + lin_batch.phi[:, Z_COL]
-    )
-    return _bootstrap_result("dr", point, pts, ok, redraws, diag)
+def _clever_rows(data, spec, W, E):
+    """Clever-covariate regression per row of ``W``: the weighted fit of the
+    plain outcome design plus the row's derived regressor
+    ``z/E - (1-z)/(1-E)``, standardized over the weighted sample, where the
+    regressor's between-arm difference is ``1/E + 1/(1-E)``.  When the
+    regressor is collinear in the full-sample row 0 it is dropped from every
+    row.  Returns ``(values, ok, dropped_columns)``."""
+    y, z = data.y, data.z
+    base = plain_outcome_design(data, spec).values
+    designs = np.empty((*W.shape, base.shape[1] + 1))
+    designs[:, :, :-1] = base
+    designs[:, :, -1] = clever_covariate(z, E)
+    lin = fit_linear_weighted_many(designs, y, W)
+    if not lin.ok[0]:
+        lin = fit_linear_weighted_many(base, y, W)
+        return lin.phi[:, Z_COL], lin.ok, ("clever",)
+    correction = np.sum(W * (1.0 / E + 1.0 / (1.0 - E)), axis=1) / W.sum(axis=1)
+    return lin.phi[:, Z_COL] + lin.phi[:, -1] * correction, lin.ok, ()
 
 
 def clever_covariate_regression(data, spec, cfg, rng):
     """Outcome regression augmented with the derived inverse-probability
     regressor, standardized over the sample; identical to the doubly robust
     estimator with this outcome model.  Bootstrap standard error."""
-    _, _, e_raw, diag = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    y, z, n = data.y, data.z, data.n
-    design = clever_outcome_design(data, spec, e)
-    fit, used, dropped = _fit_outcome_with_fallback(design, y, droppable=("clever",))
+    diag = _ps_fit(data, spec)[3]
+    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    values, fit_ok, dropped = _clever_rows(data, spec, W, E)
     if dropped:
         diag["dropped_columns"] = list(dropped)
-    # Standardization evaluates the derived regressor at both arms: the
-    # between-arm difference of z/e - (1-z)/(1-e) is 1/e + 1/(1-e).
-    correction = float(np.mean(1.0 / e + 1.0 / (1.0 - e)))
-    diag["max_abs_clever"] = float(np.max(np.abs(clever_covariate(z, e))))
-    if dropped:
-        point = fit.phi[Z_COL]
-    else:
-        point = fit.phi[Z_COL] + fit.phi[-1] * correction
+    diag["max_abs_clever"] = float(np.max(np.abs(clever_covariate(data.z, E[0]))))
+    return _bootstrap_result("clever", values, ok & fit_ok, redraws, diag)
 
-    counts, redraws, ps_batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
-    base = plain_outcome_design(data, spec).values
-    if dropped:
-        # Point fit fell back to the plain design; resample fits follow.
-        lin_batch = fit_linear_weighted_many(base, y, counts)
-        pts = lin_batch.phi[:, Z_COL]
-    else:
-        m = cfg.n_boot
-        designs = np.empty((m, n, base.shape[1] + 1))
-        designs[:, :, :-1] = base
-        designs[:, :, -1] = z / e_b - (1.0 - z) / (1.0 - e_b)
-        lin_batch = fit_linear_weighted_many(designs, y, counts)
-        corr_b = np.sum(counts * (1.0 / e_b + 1.0 / (1.0 - e_b)), axis=1) / n
-        pts = lin_batch.phi[:, Z_COL] + lin_batch.phi[:, -1] * corr_b
-    ok = ps_batch.converged & lin_batch.ok
-    return _bootstrap_result("clever", point, pts, ok, redraws, diag)
+
+def _or_iptw_rows(data, spec, W, E, stabilize):
+    """Treatment coefficient of the plain outcome fit weighted by ``W``
+    times the row's inverse treatment weights, per row of ``W``.  Returns
+    ``(values, ok, treatment_weights)``."""
+    w = _ipw_rows(data.z, W, E, stabilize)
+    lin = fit_linear_weighted_many(plain_outcome_design(data, spec).values, data.y, W * w)
+    return lin.phi[:, Z_COL], lin.ok, w
 
 
 def or_iptw(data, spec, cfg, rng):
     """Outcome regression fit by inverse-probability-weighted least squares,
     standardized over the empirical covariate distribution; bootstrap
     standard error refitting both models."""
-    _, _, e_raw, diag = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    y, z, n = data.y, data.z, data.n
-    w = _treatment_weights(z, e, cfg.stabilize)
-    diag["weight_min"] = float(w.min())
-    diag["weight_max"] = float(w.max())
-    outcome_design = plain_outcome_design(data, spec)
-    fit = fit_linear_weighted(outcome_design, y, weights=w)
-    point = fit.phi[Z_COL]
-
-    counts, redraws, ps_batch, e_b = _count_plan(data, spec, rng, cfg.n_boot)
-    if cfg.stabilize:
-        pbar_b = (counts @ z) / n
-        w_b = np.where(z == 1.0, pbar_b[:, None] / e_b, (1.0 - pbar_b[:, None]) / (1.0 - e_b))
-    else:
-        w_b = np.where(z == 1.0, 1.0 / e_b, 1.0 / (1.0 - e_b))
-    lin_batch = fit_linear_weighted_many(outcome_design.values, y, counts * w_b)
-    ok = ps_batch.converged & lin_batch.ok
-    return _bootstrap_result("or_iptw", point, lin_batch.phi[:, Z_COL], ok, redraws, diag)
+    diag = _ps_fit(data, spec)[3]
+    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    values, fit_ok, w = _or_iptw_rows(data, spec, W, E, cfg.stabilize)
+    diag["weight_min"] = float(w[0].min())
+    diag["weight_max"] = float(w[0].max())
+    return _bootstrap_result("or_iptw", values, ok & fit_ok, redraws, diag)
 
 
 # ---------------------------------------------------------------------------
@@ -711,12 +685,10 @@ def _dirichlet_rows(gen, m, n):
 def _dirichlet_plan(data, spec, rng, n_draws):
     """Bayesian-bootstrap plan shared by the two-step and importance-sampling
     estimators: ``(xi, batch, e)``, Dirichlet weight rows drawn from ``rng``,
-    the treatment model refit to each row (warm-started) and its unclamped
-    fitted probabilities."""
-    design, fit, _, _ = _ps_model(data, spec)
+    the treatment model refit to each row and its unclamped fitted
+    probabilities."""
     xi = _dirichlet_rows(rng.child(_SUB_WEIGHTS).generator(), n_draws, data.n)
-    batch = fit_logistic_weighted_many(design.values, data.z, xi, start=fit.gamma)
-    e = _batch_propensity(batch, design.values)
+    batch, e = _treatment_refits(data, spec, xi)
     _freeze(xi, batch.gamma, batch.converged, e)
     return xi, batch, e
 
@@ -889,7 +861,11 @@ def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     return value, grad, phi, hess
 
 
-def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
+JOINT_MAX_OUTER = 500
+JOINT_TOL = 1e-8
+
+
+def joint_estimation(data, spec, cfg, rng):
     """Single joint fit of the outcome and treatment models (the fitted
     treatment probabilities feed the outcome design, and both likelihood
     terms are maximized together), followed by normal posterior draws around
@@ -899,7 +875,7 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
     coefficients, so it is concentrated out and the treatment block is
     maximized by quasi-Newton with the analytic gradient; the Gaussian
     variance is profiled throughout.  The search is repeated until the joint
-    log-likelihood improves by less than ``tol``.  The draw covariance is the
+    log-likelihood improves by less than ``JOINT_TOL``.  The draw covariance is the
     inverse of the analytic Hessian of the profiled joint log-likelihood at
     the optimum.
     """
@@ -917,7 +893,7 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
     loglik = _joint_loglik(y, z, base, bvals, gamma)[0]
     trace = [loglik]
     converged = False
-    for _ in range(max_outer):
+    for _ in range(JOINT_MAX_OUTER):
         res = minimize(
             neg_concentrated,
             gamma,
@@ -929,14 +905,14 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
             gamma = res.x
         new_loglik = _joint_loglik(y, z, base, bvals, gamma)[0]
         trace.append(new_loglik)
-        if abs(new_loglik - loglik) < tol:
+        if abs(new_loglik - loglik) < JOINT_TOL:
             converged = True
             loglik = new_loglik
             break
         loglik = new_loglik
     if not converged:
         raise EstimatorError(
-            f"joint optimization did not converge in {max_outer} outer iterations; "
+            f"joint optimization did not converge in {JOINT_MAX_OUTER} outer iterations; "
             f"last improvements {np.diff(trace[-4:])}"
         )
     _, _, phi, hessian = _joint_loglik(y, z, base, bvals, gamma, hessian=True)
@@ -974,104 +950,42 @@ def joint_estimation(data, spec, cfg, rng, max_outer=500, tol=1e-8):
 # importance sampling (Bayesian bootstrap with treatment weights)
 
 
-def _wlb_batch(data, spec, cfg, rng, weight_outcome_by_w):
-    """Per-draw weighted-likelihood-bootstrap fits of both models.
-
-    The treatment model is always fit with the Dirichlet weights alone.
-    The outcome fit additionally carries the inverse treatment weights when
-    ``weight_outcome_by_w`` is set (the importance-sampling regression
-    estimator); the doubly robust variant plugs in the plain
-    Dirichlet-weighted outcome fit, whose correction term then does the
-    confounding adjustment.
-    """
-    y, z = data.y, data.z
-    m = cfg.n_draws
-    xi, ps_batch, e_raw = _dirichlet_plan(data, spec, rng, m)
-    e = _clamp_ps(e_raw)
-    if cfg.stabilize:
-        pbar = (xi * z).sum(axis=1)
-        w = np.where(z == 1.0, pbar[:, None] / e, (1.0 - pbar[:, None]) / (1.0 - e))
-    else:
-        w = np.where(z == 1.0, 1.0 / e, 1.0 / (1.0 - e))
-    outcome_design = plain_outcome_design(data, spec)
-    outcome_weights = xi * w if weight_outcome_by_w else xi
-    lin_batch = fit_linear_weighted_many(outcome_design.values, y, outcome_weights)
-    ok = ps_batch.converged & lin_batch.ok
-    diag = {
-        "draw_failures": int((~ok).sum()),
-        "weight_max": float(np.max(w[ok])) if ok.any() else float("nan"),
-        "ps_coef": tuple(float(g) for g in ps_batch.gamma[0]),
+def _draw_diagnostics(ok, w, batch):
+    """Failure count (checked against the 10% limit), largest importance
+    weight among successful draws, and the first draw's treatment fit."""
+    n_failed = int((~ok).sum())
+    _check_draw_failures(n_failed, ok.shape[0], "posterior draws")
+    return {
+        "draw_failures": n_failed,
+        "weight_max": float(np.max(w[ok])),
+        "ps_coef": tuple(float(g) for g in batch.gamma[0]),
     }
-    _check_draw_failures(int((~ok).sum()), m, "posterior draws")
-    return xi, e, lin_batch.phi, outcome_design.values, ok, diag
 
 
 def importance_sampling(data, spec, cfg, rng):
     """Bayesian-bootstrap estimator of the contrast: per Dirichlet-weight
     draw, reweight the outcome likelihood by the treatment weights, refit
     both models, and standardize over the weighted empirical covariate
-    distribution.  Point and standard error are the mean and standard
-    deviation over draws."""
-    xi, e, phi, design_values, ok, diag = _wlb_batch(
-        data, spec, cfg, rng, weight_outcome_by_w=True
-    )
-    draws = phi[ok, Z_COL]
-    return _result_from_draws("is", draws, diagnostics=diag)
+    distribution (the ``or_iptw`` kernel on Dirichlet rows).  Point and
+    standard error are the mean and standard deviation over draws."""
+    xi, batch, e = _dirichlet_plan(data, spec, rng, cfg.n_draws)
+    values, fit_ok, w = _or_iptw_rows(data, spec, xi, _clamp_ps(e), cfg.stabilize)
+    ok = batch.converged & fit_ok
+    return _result_from_draws("is", values[ok], diagnostics=_draw_diagnostics(ok, w, batch))
 
 
 def importance_sampling_dr(data, spec, cfg, rng):
     """Doubly robust Bayesian-bootstrap estimator: per draw, the weighted
     residual term plus the weighted standardization term, with both model
-    plug-ins refit under the draw's Dirichlet weights."""
-    y, z = data.y, data.z
-    xi, e, phi, design_values, ok, diag = _wlb_batch(
-        data, spec, cfg, rng, weight_outcome_by_w=False
-    )
-    m_obs = phi @ design_values.T
-    cc = z / e - (1.0 - z) / (1.0 - e)
-    residual_terms = np.sum(xi * (y - m_obs) * cc, axis=1)
-    draws = residual_terms[ok] + phi[ok, Z_COL]
-    diag["mean_abs_residual_term"] = float(np.mean(np.abs(residual_terms[ok])))
-    return _result_from_draws("is_dr", draws, diagnostics=diag)
-
-
-def importance_sampling_value(data, spec, xi, stabilize=True):
-    """Contrast for one explicit weight vector (single-draw version of
-    :func:`importance_sampling`)."""
-    xi = np.asarray(xi, dtype=float)
-    ps_design = treatment_design(data, spec)
-    ps_fit = fit_logistic_weighted(ps_design, data.z, weights=xi)
-    e = _clamp_ps(propensity(ps_fit, ps_design))
-    w = _treatment_weights(data.z, e, stabilize, xi=xi)
-    outcome_fit = fit_linear_weighted(plain_outcome_design(data, spec), data.y, weights=xi * w)
-    return float(outcome_fit.phi[Z_COL])
-
-
-def importance_sampling_dr_value(data, spec, xi, stabilize=True, importance_weight_outcome=False):
-    """Doubly robust contrast for one explicit weight vector (single-draw
-    version of :func:`importance_sampling_dr`).
-
-    By default the outcome fit carries the draw weights alone, as in the
-    production estimator; at uniform weights this reduces exactly to the
-    frequentist doubly robust estimator.  ``importance_weight_outcome=True``
-    additionally multiplies in the inverse treatment weights.
-
-    Returns ``(value, residual_term, model_term)``.
-    """
-    xi = np.asarray(xi, dtype=float)
-    y, z = data.y, data.z
-    ps_design = treatment_design(data, spec)
-    ps_fit = fit_logistic_weighted(ps_design, z, weights=xi)
-    e = _clamp_ps(propensity(ps_fit, ps_design))
-    w = _treatment_weights(z, e, stabilize, xi=xi)
-    outcome_weights = xi * w if importance_weight_outcome else xi
-    outcome_design = plain_outcome_design(data, spec)
-    outcome_fit = fit_linear_weighted(outcome_design, y, weights=outcome_weights)
-    phi = outcome_fit.phi
-    m_obs = outcome_design.values @ phi
-    m0 = m_obs - z * phi[Z_COL]
-    m1 = m0 + phi[Z_COL]
-    return dr_contrast(y, z, e, m_obs, m1, m0, xi)
+    plug-ins refit under the draw's Dirichlet weights (the ``dr`` kernel on
+    Dirichlet rows)."""
+    xi, batch, e = _dirichlet_plan(data, spec, rng, cfg.n_draws)
+    E = _clamp_ps(e)
+    values, fit_ok, residual = _dr_rows(data, spec, xi, E)
+    ok = batch.converged & fit_ok
+    diag = _draw_diagnostics(ok, _ipw_rows(data.z, xi, E, cfg.stabilize), batch)
+    diag["mean_abs_residual_term"] = float(np.mean(np.abs(residual[ok])))
+    return _result_from_draws("is_dr", values[ok], diagnostics=diag)
 
 
 # ---------------------------------------------------------------------------
@@ -1146,68 +1060,3 @@ STREAM_KEYS = {
     "is_dr": 9,
 }
 
-
-def _naive_point(data, spec, cfg):
-    y1 = data.y[data.z == 1.0]
-    y0 = data.y[data.z == 0.0]
-    return float(y1.mean() - y0.mean())
-
-
-def _adjusted_point(data, spec, cfg):
-    return float(_plain_outcome(data, spec)[1].phi[Z_COL])
-
-
-def _iptw_point(data, spec, cfg):
-    _, _, e_raw, _ = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    y, z = data.y, data.z
-    return float(np.mean(y * z / e - y * (1.0 - z) / (1.0 - e)))
-
-
-def _or_ps_point(data, spec, cfg):
-    return float(_or_ps_parts(data, spec).outcome_fit.phi[Z_COL])
-
-
-def _dr_point(data, spec, cfg):
-    _, _, e_raw, _ = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    design, fit = _plain_outcome(data, spec)
-    phi = fit.phi
-    m_obs = design.values @ phi
-    m0 = m_obs - data.z * phi[Z_COL]
-    m1 = m0 + phi[Z_COL]
-    value, _, _ = dr_contrast(
-        data.y, data.z, e, m_obs, m1, m0, np.full(data.n, 1.0 / data.n)
-    )
-    return value
-
-
-def _clever_point(data, spec, cfg):
-    _, _, e_raw, _ = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    design = clever_outcome_design(data, spec, e)
-    fit, _, dropped = _fit_outcome_with_fallback(design, data.y, droppable=("clever",))
-    if dropped:
-        return float(fit.phi[Z_COL])
-    correction = float(np.mean(1.0 / e + 1.0 / (1.0 - e)))
-    return float(fit.phi[Z_COL] + fit.phi[-1] * correction)
-
-
-def _or_iptw_point(data, spec, cfg):
-    _, _, e_raw, _ = _ps_fit(data, spec)
-    e = _clamp_ps(e_raw)
-    w = _treatment_weights(data.z, e, cfg.stabilize)
-    fit = fit_linear_weighted(plain_outcome_design(data, spec), data.y, weights=w)
-    return float(fit.phi[Z_COL])
-
-
-POINT_FUNCTIONS = {
-    "naive": _naive_point,
-    "adjusted": _adjusted_point,
-    "iptw": _iptw_point,
-    "or_ps_info": _or_ps_point,
-    "or_ps_sandwich": _or_ps_point,
-    "dr": _dr_point,
-    "clever": _clever_point,
-    "or_iptw": _or_iptw_point,
-}

@@ -10,12 +10,16 @@ Batched variants (``*_many``) fit one model per row of a weight matrix
 against a shared (or per-row) design.  They exist because the resampling
 estimators refit the same small model hundreds of times per dataset; a
 row-batched Newton step is an order of magnitude faster than a Python loop
-over fits, and the batched results agree with the single fits to rounding.
+over fits.  There is one IRLS loop: the single logistic fit is the batched
+fit of one weight row, so both stop by the same score rule.  The linear
+fits are closed form and the batched ones agree with the single fits to
+rounding.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import qr
@@ -46,9 +50,9 @@ __all__ = [
 ]
 
 SEPARATION_BOUND = 30.0
+DIVERGENCE_BOUND = 1e3
 MAX_IRLS_ITERATIONS = 100
 SCORE_TOL = 1e-8
-LOGLIK_TOL = 1e-10
 
 
 class GlmError(Exception):
@@ -170,6 +174,16 @@ def _gram_rows_well_posed(a):
     return good & (eigvals[:, 0] > RANK_TOL)
 
 
+@lru_cache(maxsize=None)
+def _upper_triangle(p):
+    """Read-only ``np.triu_indices(p)``, cached: building it costs more than
+    the Gram matrix of a small fit."""
+    iu = np.triu_indices(p)
+    for index in iu:
+        index.flags.writeable = False
+    return iu
+
+
 def _scatter_symmetric(flat, p, iu):
     """Unpack rows of upper-triangle entries into symmetric (m, p, p)."""
     out = np.empty((flat.shape[0], p, p))
@@ -192,15 +206,9 @@ def _check_weights(weights, n):
     return weights
 
 
-def fit_logistic_weighted(
-    x,
-    z,
-    weights=None,
-    max_iter=MAX_IRLS_ITERATIONS,
-    score_tol=SCORE_TOL,
-    loglik_tol=LOGLIK_TOL,
-):
-    """Weighted logistic maximum likelihood via IRLS.
+def fit_logistic_weighted(x, z, weights=None):
+    """Weighted logistic maximum likelihood via IRLS: the one-row case of
+    :func:`fit_logistic_weighted_many`, with the same stopping rule.
 
     Parameters
     ----------
@@ -214,59 +222,38 @@ def fit_logistic_weighted(
     Returns
     -------
     FittedLogistic
-        Convergence is declared when the maximum absolute entry of the
-        weighted score drops below ``score_tol`` or the relative change in
-        weighted log-likelihood drops below ``loglik_tol``.  ``cov`` is the
-        inverse weighted observed information.  A coefficient exceeding
-        30 in absolute value sets the ``separation`` warning flag.
+        ``cov`` is the inverse observed information at the raw weights and
+        ``max_abs_score`` the largest absolute entry of the weighted score
+        at the final iterate.  A coefficient exceeding 30 in absolute value,
+        or an iteration abandoned as diverging, sets the ``separation``
+        warning flag.
 
     Raises
     ------
     NonConvergenceError
-        After ``max_iter`` iterations; the last iterate rides along.
+        When IRLS stops without converging (iteration limit reached, or
+        abandoned as diverging, which leaves NaN coefficients); the last
+        iterate rides along.
     SingularDesignError
-        When the weighted information is rank deficient.
+        When the fit fails and the weighted design is rank deficient.
     """
     xv = _as_values(x)
     z = np.asarray(z, dtype=float)
     n, p = xv.shape
     weights = _check_weights(weights, n)
-    wnorm = weights / weights.mean()
-
-    gamma = np.zeros(p)
-    loglik_prev = -np.inf
-    iterations = 0
-    max_score = np.inf
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        mu = expit(xv @ gamma)
-        score = xv.T @ (wnorm * (z - mu))
-        max_score = float(np.abs(score).max())
-        loglik = float(np.sum(wnorm * (z * np.log(mu) + (1.0 - z) * np.log1p(-mu))))
-        if max_score < score_tol:
-            converged = True
-            break
-        if np.isfinite(loglik_prev) and abs(loglik - loglik_prev) <= loglik_tol * (
-            1.0 + abs(loglik)
-        ):
-            converged = True
-            break
-        loglik_prev = loglik
-        irls_w = wnorm * mu * (1.0 - mu)
-        info = (xv * irls_w[:, None]).T @ xv
-        try:
-            step = np.linalg.solve(info, score)
-        except np.linalg.LinAlgError:
-            suspects = _collinear_columns(xv * np.sqrt(irls_w)[:, None], _labels(x, p))
+    batch = fit_logistic_weighted_many(xv, z, weights[None, :])
+    gamma = batch.gamma[0]
+    converged = bool(batch.converged[0])
+    if not converged:
+        suspects = _collinear_columns(xv * np.sqrt(weights)[:, None], _labels(x, p))
+        if suspects:
             raise SingularDesignError(
                 f"singular weighted information; collinear columns: {suspects}",
                 columns=suspects,
-            ) from None
-        gamma = gamma + step
-        if not np.all(np.isfinite(gamma)):
-            break
+            )
 
     mu = expit(xv @ gamma)
+    score = xv.T @ (weights / weights.mean() * (z - mu))
     # Covariance from the observed information at the raw weights (frequency
     # weights), so duplicating rows while halving weights changes nothing.
     info = (xv * (weights * mu * (1.0 - mu))[:, None]).T @ xv
@@ -278,14 +265,14 @@ def fit_logistic_weighted(
         gamma=gamma,
         cov=cov,
         converged=converged,
-        iterations=iterations,
-        max_abs_score=max_score,
-        separation=bool(np.any(np.abs(gamma) > SEPARATION_BOUND)),
+        iterations=batch.iterations,
+        max_abs_score=float(np.abs(score).max()),
+        separation=bool(batch.separation[0]),
     )
     if not converged:
         raise NonConvergenceError(
-            f"IRLS did not converge in {max_iter} iterations "
-            f"(max |score| = {max_score:.3e})",
+            f"IRLS did not converge in {batch.iterations} iterations "
+            f"(max |score| = {fit.max_abs_score:.3e})",
             last_fit=fit,
         )
     return fit
@@ -301,23 +288,20 @@ class BatchLogistic:
     iterations: int
 
 
-def fit_logistic_weighted_many(
-    x,
-    z,
-    weights,
-    max_iter=MAX_IRLS_ITERATIONS,
-    score_tol=SCORE_TOL,
-    start=None,
-):
+def fit_logistic_weighted_many(x, z, weights, start=None):
     """IRLS for many weight vectors against one shared design.
 
-    ``weights`` has shape (m, n); row k defines its own fit.  Rows that fail
-    (singular information, divergence) are reported unconverged rather than
-    raising, since resampling callers skip and count such draws.  Converged
-    rows drop out of the working set, so late iterations only pay for the
-    stragglers.  ``start`` warm-starts all rows (typically the full-sample
-    estimate, since reweighted fits are small perturbations of it); the
-    optimum is unchanged.
+    ``weights`` has shape (m, n); row k defines its own fit.  A row converges
+    when the largest absolute entry of its weighted score (weights
+    normalized to mean one) drops below ``SCORE_TOL``.  Rows that fail
+    (singular information, or a coefficient leaving ``DIVERGENCE_BOUND``)
+    are abandoned with NaN coefficients and reported unconverged rather than
+    raising, since resampling callers skip and count such draws; a diverging
+    row is flagged as separated.  Converged rows drop out of the working
+    set, so late iterations only pay for the stragglers.  ``start``
+    warm-starts all rows (typically the full-sample estimate, since
+    reweighted fits are small perturbations of it); the optimum is
+    unchanged.
     """
     xv = _as_values(x)
     z = np.asarray(z, dtype=float)
@@ -330,12 +314,13 @@ def fit_logistic_weighted_many(
         gamma = np.zeros((m, p))
     else:
         gamma = np.tile(np.asarray(start, dtype=float), (m, 1))
-    iu = np.triu_indices(p)
+    iu = _upper_triangle(p)
     pairs = xv[:, iu[0]] * xv[:, iu[1]]
     converged = np.zeros(m, dtype=bool)
+    diverged = np.zeros(m, dtype=bool)
     active = np.flatnonzero(row_means[:, 0] > 0)
     iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
         if active.size == 0:
             break
         # A slice while every row is active: views instead of row copies.
@@ -345,7 +330,7 @@ def fit_logistic_weighted_many(
         r = z - mu
         r *= wa
         score = r @ xv
-        done = np.abs(score).max(axis=1) < score_tol
+        done = np.abs(score).max(axis=1) < SCORE_TOL
         if done.any():
             converged[active[done]] = True
             keep = ~done
@@ -371,16 +356,18 @@ def fit_logistic_weighted_many(
             gamma[active[dead]] = np.nan
             active = active[~dead]
             step = step[~dead]
-        gnew = gamma[active] + step
-        bad = ~np.all(np.isfinite(gnew), axis=1) | (np.abs(gnew).max(axis=1) > 1e3)
-        gnew[bad] = np.nan
-        gamma[active] = gnew
-        active = active[~bad]
+        gamma[active] += step
+        # NaN and inf fail the comparison, so they count as diverged too.
+        bad = ~(np.abs(gamma[active]).max(axis=1) <= DIVERGENCE_BOUND)
+        if bad.any():
+            gamma[active[bad]] = np.nan
+            diverged[active[bad]] = True
+            active = active[~bad]
     return BatchLogistic(
         gamma=gamma,
         converged=converged,
-        separation=np.abs(np.where(np.isfinite(gamma), gamma, 0.0)).max(axis=1)
-        > SEPARATION_BOUND,
+        separation=diverged
+        | (np.abs(np.where(np.isfinite(gamma), gamma, 0.0)).max(axis=1) > SEPARATION_BOUND),
         iterations=iterations,
     )
 
@@ -458,7 +445,7 @@ def fit_linear_weighted_many(x, y, weights=None):
         wnorm = weights / np.where(row_means > 0, row_means, 1.0)
 
     if shared_design:
-        iu = np.triu_indices(p)
+        iu = _upper_triangle(p)
         a = _scatter_symmetric(wnorm @ (xv[:, iu[0]] * xv[:, iu[1]]), p, iu)
         b = (wnorm * y) @ xv
     else:

@@ -1,4 +1,4 @@
-"""Deterministic random streams, elementary samplers, and small dense solves.
+"""Deterministic random streams, the logistic function, and small dense helpers.
 
 Everything in this module is a pure function of its arguments.  Randomness is
 threaded through :class:`RngStream` values rather than shared generator state,
@@ -11,20 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 __all__ = [
     "PROB_CLIP",
     "RngStream",
     "InvalidArgumentError",
     "DecompositionError",
-    "SingularMatrixError",
-    "as_generator",
     "expit",
     "logistic_",
-    "sample_dirichlet",
-    "sample_mvn",
-    "cholesky_solve",
     "batch_means_error",
 ]
 
@@ -40,10 +34,6 @@ class InvalidArgumentError(ValueError):
 
 class DecompositionError(ArithmeticError):
     """A covariance matrix is indefinite beyond the jitter tolerance."""
-
-
-class SingularMatrixError(ArithmeticError):
-    """A matrix required to be positive definite has a failing pivot."""
 
 
 @dataclass(frozen=True)
@@ -70,13 +60,6 @@ class RngStream:
         """Fresh generator positioned at the start of this stream."""
         ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id, *self.path))
         return np.random.Generator(np.random.Philox(ss))
-
-
-def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
-    """Accept either a stream value or an already-running generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
 
 
 def logistic_(x):
@@ -107,23 +90,6 @@ def expit(x):
     return out[()]
 
 
-def sample_dirichlet(n, rng):
-    """One draw from the flat Dirichlet distribution on the ``n``-simplex.
-
-    Implemented as ``n`` unit-exponential variates normalized by their sum,
-    which is exact and branch-free.  Entries are strictly positive and sum
-    to one up to rounding.
-    """
-    if n < 1:
-        raise InvalidArgumentError(f"need n >= 1, got {n}")
-    gen = as_generator(rng)
-    g = gen.standard_exponential(n)
-    # standard_exponential can in principle return an exact zero; nudge so the
-    # positivity invariant holds.
-    g = np.maximum(g, 1e-300)
-    return g / g.sum()
-
-
 def _psd_factor(cov, jitter=1e-10):
     """Return L with L @ L.T == cov for a symmetric PSD matrix.
 
@@ -144,56 +110,6 @@ def _psd_factor(cov, jitter=1e-10):
             f"covariance is not PSD within tolerance (min eigenvalue {eigval.min():.3e})"
         )
     return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
-
-
-def sample_mvn(mean, cov, rng):
-    """One multivariate normal draw ``mean + L @ z`` with ``L L' = cov``.
-
-    ``cov`` must be symmetric positive semi-definite up to a relative jitter
-    of 1e-10; singular covariances (including the zero matrix) are handled
-    exactly.
-    """
-    mean = np.asarray(mean, dtype=float)
-    factor = _psd_factor(cov)
-    gen = as_generator(rng)
-    return mean + factor @ gen.standard_normal(mean.shape[0])
-
-
-def _failing_pivot(a):
-    """Index of the first nonpositive pivot of a scalar Cholesky sweep."""
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    low = np.zeros_like(a)
-    for j in range(n):
-        d = a[j, j] - low[j, :j] @ low[j, :j]
-        if d <= 0.0 or not np.isfinite(d):
-            return j
-        low[j, j] = np.sqrt(d)
-        if j + 1 < n:
-            low[j + 1 :, j] = (a[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j]) / low[j, j]
-    return n - 1
-
-
-def cholesky_solve(a, b):
-    """Solve ``a @ x = b`` for symmetric positive definite ``a``.
-
-    Raises :class:`SingularMatrixError` naming the failing pivot when ``a``
-    is not positive definite.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-    if b.shape[0] != a.shape[0]:
-        raise InvalidArgumentError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    try:
-        low = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        raise SingularMatrixError(
-            f"matrix is not positive definite (pivot {_failing_pivot(a)})"
-        ) from None
-    y = solve_triangular(low, b, lower=True)
-    return solve_triangular(low.T, y, lower=False)
 
 
 def batch_means_error(values, num_batches):

@@ -20,8 +20,6 @@ from .estimators import (
     ResamplingConfig,
     clever_outcome_design,
     dr_contrast,
-    importance_sampling_dr_value,
-    importance_sampling_value,
     treatment_design,
 )
 from .glm import DesignMatrix, fit_linear_weighted, fit_logistic_weighted
@@ -46,13 +44,27 @@ def _fixture_data(n=80, seed=1905, stream=3):
     return data, apply_scenario(data, "I")
 
 
-def check_uniform_weights_match_weighted_regression():
+def _flat_row(data, spec):
+    """A flat weight row (1/n per observation) and its clamped treatment
+    probabilities, refit through the batched path of the Dirichlet plan."""
+    flat = np.full((1, data.n), 1.0 / data.n)
+    _, e = est._treatment_refits(data, spec, flat)
+    return flat, est._clamp_ps(e)
+
+
+def _point(tag, data, spec, stabilize=True):
+    """Point estimate of a registered estimator (two resampling rows)."""
+    cfg = ResamplingConfig(n_draws=2, n_boot=2, stabilize=stabilize)
+    rng = RngStream(1905, 0).child(est.STREAM_KEYS[tag])
+    return est.ESTIMATORS[tag](data, spec, cfg, rng).point
+
+
+def check_uniform_weights_match_weighted_regression(stabilize=True):
     """Flat-weight Bayesian draw equals the weighted-regression estimator."""
     data, spec = _fixture_data()
-    cfg = ResamplingConfig(n_draws=2, n_boot=2, stabilize=True)
-    xi = np.full(data.n, 1.0 / data.n)
-    bayes = importance_sampling_value(data, spec, xi, stabilize=True)
-    frequentist = est._or_iptw_point(data, spec, cfg)
+    flat, e = _flat_row(data, spec)
+    bayes = float(est._or_iptw_rows(data, spec, flat, e, stabilize)[0][0])
+    frequentist = _point("or_iptw", data, spec, stabilize)
     residual = abs(bayes - frequentist)
     return CheckResult(
         "uniform-weight IS equals OR/IPTW",
@@ -65,10 +77,9 @@ def check_uniform_weights_match_weighted_regression():
 def check_uniform_weights_match_dr():
     """Flat-weight doubly robust draw equals the frequentist DR estimator."""
     data, spec = _fixture_data()
-    cfg = ResamplingConfig(n_draws=2, n_boot=2, stabilize=True)
-    xi = np.full(data.n, 1.0 / data.n)
-    bayes, _, _ = importance_sampling_dr_value(data, spec, xi, stabilize=True)
-    frequentist = est._dr_point(data, spec, cfg)
+    flat, e = _flat_row(data, spec)
+    bayes = float(est._dr_rows(data, spec, flat, e)[0][0])
+    frequentist = _point("dr", data, spec)
     residual = abs(bayes - frequentist)
     return CheckResult(
         "uniform-weight IS/DR equals DR",
@@ -106,11 +117,10 @@ def check_clever_covariate_matches_dr(corrupt_residual_sign=False):
     is annihilated by the least squares score equations, so the DR value
     equals the model-based estimate."""
     data, spec = _fixture_data()
-    cfg = ResamplingConfig(n_draws=2, n_boot=2)
     value, residual_term = _clever_model_dr_terms(
         data, spec, corrupt_residual_sign=corrupt_residual_sign
     )
-    clever_point = est._clever_point(data, spec, cfg)
+    clever_point = _point("clever", data, spec)
     residual = max(abs(value - clever_point), abs(residual_term))
     return CheckResult(
         "DR with clever-covariate model equals clever-covariate estimator",
@@ -189,8 +199,9 @@ def check_saturated_ps_reduces_to_weighted_mean():
     whatever the (misspecified) outcome model says."""
     data = _discrete_instance(16, seed=511)
     spec = CovariateSpec(s_columns=((0, est.IDENTITY),), b_columns=((0, est.IDENTITY),))
-    xi = np.full(data.n, 1.0 / data.n)
-    value, _, _ = importance_sampling_dr_value(data, spec, xi)
+    flat, e_fit = _flat_row(data, spec)
+    value = float(est._dr_rows(data, spec, flat, e_fit)[0][0])
+    xi = flat[0]
     # Brute-force oracle: within-cell treated fractions give the fitted
     # probabilities of the saturated logistic fit.
     z, y, s = data.z, data.y, data.x[:, 0]

@@ -2,10 +2,11 @@
 previous implementation.
 
 The property tests draw small data sets with hypothesis and check that every
-row of a batched fit equals the single fit under the same weights.  The two
-IRLS loops stop by different rules (the single fit also stops when the
-log-likelihood stalls), so coefficients are compared at the precision both
-rules guarantee, not bit for bit.
+row of a batched fit equals the single fit under the same weights.  The
+single logistic fit is the batched fit of one row, but a row's arithmetic
+can differ in the last bits with the number of rows around it, so
+coefficients are compared at the precision the stopping rule guarantees,
+not bit for bit.
 """
 
 import numpy as np

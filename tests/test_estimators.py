@@ -5,29 +5,29 @@ import drbayes.estimators as est
 from drbayes.estimators import (
     ESTIMATOR_ORDER,
     ESTIMATORS,
-    POINT_FUNCTIONS,
     STREAM_KEYS,
     CovariateSpec,
     Dataset,
     DrawFailureError,
+    EstimatorError,
     ResamplingConfig,
-    bootstrap_se,
     clever_covariate_regression,
     dr,
     dr_contrast,
     g_formula_adjusted,
     importance_sampling,
     importance_sampling_dr,
-    importance_sampling_dr_value,
-    importance_sampling_value,
     iptw,
     naive,
     or_iptw,
     or_ps_info,
+    plain_outcome_design,
+    treatment_design,
     two_step_pair,
     two_step_vardecomp,
     _joint_loglik,
 )
+from drbayes.glm import fit_linear_weighted, fit_logistic_weighted, propensity
 from drbayes.numerics import RngStream
 import drbayes.simulation as sim
 from drbayes.simulation import SimConfig, apply_scenario, generate_data, run_replication
@@ -38,6 +38,74 @@ CFG = ResamplingConfig(n_draws=40, n_boot=40)
 def _sim_data(n=300, seed=100, stream=0, scenario="I"):
     data = generate_data(n, RngStream(seed, stream))
     return data, apply_scenario(data, scenario)
+
+
+# ---------------------------------------------------------------------------
+# oracles: single fits and physical resampling, independent of the weighted
+# kernels the estimators use
+
+
+def bootstrap_se(point_fn, data, spec, cfg, rng):
+    """Nonparametric bootstrap standard error of ``point_fn(data, spec, cfg)``
+    re-evaluated on ``cfg.n_boot`` physically resampled data sets, drawn as
+    the estimators draw their count matrices (single-arm resamples
+    redrawn).  Errors on individual resamples are tolerated up to 10%.
+
+    Returns ``(se, diagnostics)``.
+    """
+    gen = rng.child(est._SUB_WEIGHTS).generator()
+    idx, redraws = est._resample_index_matrix(data.z, cfg.n_boot, gen)
+    points = []
+    failures = 0
+    for b in range(cfg.n_boot):
+        try:
+            points.append(float(point_fn(data.subset(idx[b]), spec, cfg)))
+        except Exception:
+            failures += 1
+    est._check_draw_failures(failures, cfg.n_boot, "bootstrap resamples")
+    se = float(np.std(points, ddof=1))
+    return se, {"boot_failures": failures, "boot_degenerate_redraws": redraws}
+
+
+def _estimator_point(tag, rng):
+    """``point_fn`` of a registered estimator: its ``.point`` on a data set."""
+    return lambda d, s, c: ESTIMATORS[tag](d, s, c, rng).point
+
+
+def _single_draw_fits(data, spec, xi, stabilize):
+    """Treatment fit under explicit weights ``xi`` and the resulting
+    clamped probabilities and inverse treatment weights."""
+    z = data.z
+    ps_design = treatment_design(data, spec)
+    ps_fit = fit_logistic_weighted(ps_design, z, weights=xi)
+    e = est._clamp_ps(propensity(ps_fit, ps_design))
+    num1 = num0 = 1.0
+    if stabilize:
+        num1 = float(np.sum(xi * z) / np.sum(xi))
+        num0 = 1.0 - num1
+    return e, np.where(z == 1.0, num1 / e, num0 / (1.0 - e))
+
+
+def importance_sampling_value(data, spec, xi, stabilize=True):
+    """Contrast of ``importance_sampling`` for one explicit weight vector."""
+    xi = np.asarray(xi, dtype=float)
+    _, w = _single_draw_fits(data, spec, xi, stabilize)
+    outcome_fit = fit_linear_weighted(plain_outcome_design(data, spec), data.y, weights=xi * w)
+    return float(outcome_fit.phi[est.Z_COL])
+
+
+def importance_sampling_dr_value(data, spec, xi):
+    """Doubly robust contrast of ``importance_sampling_dr`` for one explicit
+    weight vector; returns ``(value, residual_term, model_term)``."""
+    xi = np.asarray(xi, dtype=float)
+    y, z = data.y, data.z
+    e, _ = _single_draw_fits(data, spec, xi, stabilize=False)
+    outcome_design = plain_outcome_design(data, spec)
+    phi = fit_linear_weighted(outcome_design, y, weights=xi).phi
+    m_obs = outcome_design.values @ phi
+    m0 = m_obs - z * phi[est.Z_COL]
+    m1 = m0 + phi[est.Z_COL]
+    return dr_contrast(y, z, e, m_obs, m1, m0, xi)
 
 
 class TestDataset:
@@ -220,6 +288,50 @@ class TestOrIptw:
         assert res.diagnostics["weight_max"] == pytest.approx(1.0, abs=1e-8)
 
 
+class TestUnstabilizedWeights:
+    UNSTABILIZED = ResamplingConfig(n_draws=6, n_boot=20, stabilize=False)
+
+    def test_or_iptw_point_matches_direct_weighted_fit(self):
+        data, spec = _sim_data(n=200, seed=27)
+        res = or_iptw(data, spec, self.UNSTABILIZED, RngStream(27, 0))
+        ps_design = treatment_design(data, spec)
+        e = np.clip(
+            propensity(fit_logistic_weighted(ps_design, data.z), ps_design),
+            est.WEIGHT_CLIP,
+            1.0 - est.WEIGHT_CLIP,
+        )
+        w = np.where(data.z == 1.0, 1.0 / e, 1.0 / (1.0 - e))
+        oracle = fit_linear_weighted(plain_outcome_design(data, spec), data.y, weights=w)
+        assert res.point == pytest.approx(oracle.phi[est.Z_COL], abs=1e-10)
+        assert res.diagnostics["weight_min"] == pytest.approx(w.min(), rel=1e-12)
+        assert res.diagnostics["weight_max"] == pytest.approx(w.max(), rel=1e-12)
+        stabilized = or_iptw(data, spec, CFG, RngStream(27, 0))
+        assert stabilized.point != pytest.approx(res.point, abs=1e-6)
+
+    def test_is_draws_match_single_evaluator(self):
+        data, spec = _sim_data(n=120, seed=28)
+        rng = RngStream(28, 0).child(STREAM_KEYS["is"])
+        res = importance_sampling(data, spec, self.UNSTABILIZED, rng)
+        xi = est._dirichlet_rows(rng.child(0).generator(), 6, data.n)
+        singles = [importance_sampling_value(data, spec, xi[j], stabilize=False) for j in range(6)]
+        np.testing.assert_allclose(res.draws, singles, atol=1e-8)
+        stabilized = [importance_sampling_value(data, spec, xi[j]) for j in range(6)]
+        assert np.abs(res.draws - stabilized).max() > 1e-6
+
+
+class TestTreatmentFitPolicy:
+    def test_abandoned_treatment_fit_raises(self):
+        # Complete separation on a small-scale covariate: IRLS abandons the
+        # full-sample fit, and no estimator proceeds with NaN probabilities.
+        x = 0.01 * np.r_[-np.ones(4), np.ones(4)]
+        data = Dataset(y=np.arange(8.0), z=np.r_[np.zeros(4), np.ones(4)], x=x[:, None])
+        spec = CovariateSpec(s_columns=(), b_columns=((0, est.IDENTITY),))
+        cfg = ResamplingConfig(n_draws=4, n_boot=4)
+        for tag in ("iptw", "or_ps_info", "is"):
+            with pytest.raises(EstimatorError, match="treatment-model fit"):
+                ESTIMATORS[tag](data, spec, cfg, RngStream(29, 0).child(STREAM_KEYS[tag]))
+
+
 class TestTwoStep:
     def test_pair_equals_separate_calls(self):
         data, spec = _sim_data(n=150, seed=13)
@@ -358,30 +470,27 @@ class TestBootstrapSe:
     def test_naive_bootstrap_close_to_analytic(self):
         data, spec = _sim_data(n=500, seed=18)
         cfg = ResamplingConfig(n_draws=2, n_boot=300)
-        se, _ = bootstrap_se(POINT_FUNCTIONS["naive"], data, spec, cfg, RngStream(18, 0))
+        se, _ = bootstrap_se(lambda d, s, c: naive(d).point, data, spec, cfg, RngStream(18, 0))
         analytic = naive(data).se
         assert abs(se - analytic) < 0.15 * analytic
 
     def test_doubling_resamples_is_stable(self):
         data, spec = _sim_data(n=200, seed=19)
-        se1, _ = bootstrap_se(
-            POINT_FUNCTIONS["naive"], data, spec, ResamplingConfig(2, 100), RngStream(19, 0)
-        )
-        se2, _ = bootstrap_se(
-            POINT_FUNCTIONS["naive"], data, spec, ResamplingConfig(2, 200), RngStream(19, 1)
-        )
+        point = _estimator_point("naive", None)
+        se1, _ = bootstrap_se(point, data, spec, ResamplingConfig(2, 100), RngStream(19, 0))
+        se2, _ = bootstrap_se(point, data, spec, ResamplingConfig(2, 200), RngStream(19, 1))
         mc_err = se1 / np.sqrt(2 * 100)
         assert abs(se2 - se1) < 3.0 * 3.0 * mc_err
 
     def test_fast_paths_match_generic_bootstrap(self):
-        # The count-weighted refits inside the estimators must reproduce the
-        # generic resample-and-refit bootstrap draw for draw.
+        # The count-weighted rows of the estimators' kernels must reproduce
+        # the estimators' own points on the physically resampled data sets.
         data, spec = _sim_data(n=120, seed=20)
         cfg = ResamplingConfig(n_draws=2, n_boot=30)
         for tag in ("iptw", "dr", "clever", "or_iptw"):
             rng = RngStream(20, 0).child(STREAM_KEYS[tag])
             fast = ESTIMATORS[tag](data, spec, cfg, rng)
-            generic_se, _ = bootstrap_se(POINT_FUNCTIONS[tag], data, spec, cfg, rng)
+            generic_se, _ = bootstrap_se(_estimator_point(tag, rng), data, spec, cfg, rng)
             assert fast.se == pytest.approx(generic_se, abs=1e-8), tag
 
     def test_failure_threshold(self):
@@ -489,8 +598,9 @@ class TestSharedPlan:
         }
 
     def test_full_sample_outcome_fits_shared(self, monkeypatch):
-        # adjusted and dr share the plain fit, or_ps_info and or_ps_sandwich
-        # the propensity-adjusted one; clever and or_iptw fit their own.
+        # adjusted fits the plain model, or_ps_info and or_ps_sandwich share
+        # the propensity-adjusted fit; dr, clever and or_iptw fit their
+        # full-sample row in the same batch as their bootstrap rows.
         calls = []
         inner = est.fit_linear_weighted
 
@@ -501,15 +611,14 @@ class TestSharedPlan:
         monkeypatch.setattr(est, "fit_linear_weighted", counting)
         for rep in range(SHARED_CONFIG.reps):
             run_replication(SHARED_CONFIG, rep)
-        assert len(calls) == 4 * SHARED_CONFIG.reps
+        assert len(calls) == 2 * SHARED_CONFIG.reps
 
         data, spec = _sim_data(n=100, seed=26)
         info = est.or_ps_info(data, spec)
         info.diagnostics["extra"] = 1.0  # each caller extends its own copy
         assert "extra" not in est.or_ps_sandwich(data, spec).diagnostics
-        _, plain = est._plain_outcome(data, spec)
         parts = est._or_ps_parts(data, spec)
-        for values in (plain.phi, plain.cov, parts.outcome_fit.phi, parts.outcome_design.values):
+        for values in (parts.outcome_fit.phi, parts.outcome_fit.cov, parts.outcome_design.values):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
 
@@ -570,9 +679,9 @@ class TestSharedPlan:
         data, spec = _sim_data(n=100, seed=25)
         rng = RngStream(25, 0).child(STREAM_KEYS["iptw"])
         _, fit, e, diag = est._ps_fit(data, spec)
-        counts, _, batch, e_b = est._count_plan(data, spec, rng, 20)
+        W, E, ok, _ = est._count_plan(data, spec, rng, 20)
         xi, dirichlet_batch, e_d = est._dirichlet_plan(data, spec, rng, 20)
-        for values in (fit.gamma, e, counts, batch.gamma, e_b, xi, dirichlet_batch.gamma, e_d):
+        for values in (fit.gamma, e, W, E, ok, xi, dirichlet_batch.gamma, e_d):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
         diag["extra"] = 1.0  # each caller extends its own copy

@@ -3,6 +3,7 @@ import pytest
 
 from drbayes.glm import (
     DesignMatrix,
+    NonConvergenceError,
     SingularDesignError,
     clever_covariate,
     cubic_ps_basis,
@@ -84,6 +85,37 @@ class TestLogisticFit:
         fit = fit_logistic_weighted(x, z)
         assert fit.separation
         assert fit.converged
+
+    def test_complete_separation_is_abandoned(self):
+        # At a ten times smaller scale the score only vanishes beyond the
+        # divergence bound, so IRLS abandons the fit instead of reporting
+        # an arbitrary large coefficient as converged.
+        x = np.column_stack([np.ones(8), 0.01 * np.r_[-np.ones(4), np.ones(4)]])
+        z = np.r_[np.zeros(4), np.ones(4)]
+        with pytest.raises(NonConvergenceError) as exc:
+            fit_logistic_weighted(x, z)
+        last = exc.value.last_fit
+        assert last.separation
+        assert not last.converged
+        assert not np.all(np.isfinite(last.gamma))
+
+    def test_single_fit_is_one_batched_row(self):
+        x, z = _logistic_data(200, [0.2, 0.5, -0.3], seed=25)
+        w = RngStream(25).generator().random(200) + 0.1
+        fit = fit_logistic_weighted(x, z, weights=w)
+        batch = fit_logistic_weighted_many(x, z, w[None, :])
+        np.testing.assert_array_equal(fit.gamma, batch.gamma[0])
+        assert fit.iterations == batch.iterations
+        assert fit.converged and batch.converged[0]
+
+    def test_collinear_design_names_columns(self):
+        x, z = _logistic_data(40, [0.1, 0.5], seed=26)
+        design = DesignMatrix(
+            np.column_stack([x, 2.0 * x[:, 1]]), ["intercept", "a", "a_copy"]
+        )
+        with pytest.raises(SingularDesignError) as exc:
+            fit_logistic_weighted(design, z)
+        assert set(exc.value.columns) & {"a", "a_copy"}
 
     def test_all_zero_weights_rejected(self):
         x, z = _logistic_data(20, [0.0, 0.3], seed=5)

@@ -1,5 +1,7 @@
 """The estimator identity suite plus its sensitivity (mutation) checks."""
 
+import pytest
+
 from drbayes.selfcheck import (
     ALL_CHECKS,
     IDENTITY_TOLERANCE,
@@ -20,6 +22,11 @@ class TestIdentities:
         res = check_uniform_weights_match_weighted_regression()
         assert res.passed, res
         assert res.residual < IDENTITY_TOLERANCE
+
+    @pytest.mark.parametrize("stabilize", [True, False])
+    def test_uniform_row_identity_either_stabilization(self, stabilize):
+        res = check_uniform_weights_match_weighted_regression(stabilize=stabilize)
+        assert res.passed, res
 
     def test_uniform_is_dr_equals_dr(self):
         res = check_uniform_weights_match_dr()

@@ -4,19 +4,29 @@ import numpy as np
 import pytest
 from scipy.special import expit as scipy_expit
 
+from drbayes.estimators import _dirichlet_rows
 from drbayes.numerics import (
     PROB_CLIP,
     DecompositionError,
     InvalidArgumentError,
     RngStream,
-    SingularMatrixError,
+    _psd_factor,
     batch_means_error,
-    cholesky_solve,
     expit,
     logistic_,
-    sample_dirichlet,
-    sample_mvn,
 )
+
+
+def sample_dirichlet(n, rng):
+    """One flat-Dirichlet row as the Bayesian-bootstrap plan draws it."""
+    return _dirichlet_rows(rng.generator() if isinstance(rng, RngStream) else rng, 1, n)[0]
+
+
+def sample_mvn(mean, cov, rng):
+    """One normal draw through the PSD factor the posterior samplers use."""
+    mean = np.asarray(mean, dtype=float)
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    return mean + _psd_factor(cov) @ gen.standard_normal(mean.shape[0])
 
 
 class TestRngStream:
@@ -128,6 +138,8 @@ class TestLogisticKernel:
 
 
 class TestSampleDirichlet:
+    """Rows of the Bayesian-bootstrap plan (``estimators._dirichlet_rows``)."""
+
     def test_single_point_simplex(self):
         np.testing.assert_array_equal(sample_dirichlet(1, RngStream(1)), [1.0])
 
@@ -136,10 +148,6 @@ class TestSampleDirichlet:
             w = sample_dirichlet(37, RngStream(9, k))
             assert abs(w.sum() - 1.0) <= 1e-12
             assert np.all(w > 0)
-
-    def test_zero_size_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            sample_dirichlet(0, RngStream(1))
 
     def test_flat_dirichlet_moments(self):
         # Monte Carlo check against the flat-Dirichlet mean 1/n and variance
@@ -153,6 +161,8 @@ class TestSampleDirichlet:
 
 
 class TestSampleMvn:
+    """Normal draws through ``numerics._psd_factor``."""
+
     def test_degenerate_covariance(self):
         np.testing.assert_array_equal(
             sample_mvn([3.0], [[0.0]], RngStream(2)), [3.0]
@@ -176,44 +186,6 @@ class TestSampleMvn:
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
         draw = sample_mvn([0.0, 0.0], cov, RngStream(4))
         assert draw[0] == pytest.approx(draw[1], abs=1e-12)
-
-
-class TestCholeskySolve:
-    def test_identity(self):
-        np.testing.assert_array_equal(
-            cholesky_solve(np.eye(2), np.array([1.0, 2.0])), [1.0, 2.0]
-        )
-
-    def test_diagonal(self):
-        np.testing.assert_allclose(
-            cholesky_solve(np.diag([2.0, 4.0]), np.array([2.0, 4.0])), [1.0, 1.0]
-        )
-
-    def test_random_pd_residual(self):
-        gen = RngStream(8).generator()
-        m = gen.standard_normal((5, 5))
-        a = m @ m.T + 5 * np.eye(5)
-        b = gen.standard_normal(5)
-        x = cholesky_solve(a, b)
-        assert np.linalg.norm(a @ x - b) < 1e-10
-
-    def test_roundtrip_up_to_50(self):
-        gen = RngStream(12).generator()
-        for p in (2, 10, 50):
-            m = gen.standard_normal((p, p))
-            a = m @ m.T + p * np.eye(p)
-            x_true = gen.standard_normal(p)
-            x = cholesky_solve(a, a @ x_true)
-            assert np.linalg.norm(x - x_true) <= 1e-8 * max(1.0, np.linalg.norm(x_true))
-
-    def test_non_pd_names_pivot(self):
-        a = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(SingularMatrixError, match="pivot 1"):
-            cholesky_solve(a, np.array([1.0, 1.0]))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            cholesky_solve(np.eye(2), np.array([1.0, 2.0, 3.0]))
 
 
 class TestBatchMeansError:
