@@ -18,7 +18,7 @@ rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -124,7 +124,6 @@ class FittedLinear:
     sigma2: float
     cov: np.ndarray
     n_effective: float
-    dropped_columns: tuple[str, ...] = field(default=())
 
 
 def _as_values(design):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult, minimize
 
 import drbayes.estimators as est
 from drbayes.estimators import (
@@ -45,6 +46,11 @@ def _sim_data(n=300, seed=100, stream=0, scenario="I"):
 # kernels the estimators use
 
 
+def _subset(data, idx):
+    """The rows ``idx`` of ``data`` as a new data set (physical resampling)."""
+    return Dataset(data.y[idx], data.z[idx], data.x[idx], data.column_names)
+
+
 def bootstrap_se(point_fn, data, spec, cfg, rng):
     """Nonparametric bootstrap standard error of ``point_fn(data, spec, cfg)``
     re-evaluated on ``cfg.n_boot`` physically resampled data sets, drawn as
@@ -59,7 +65,7 @@ def bootstrap_se(point_fn, data, spec, cfg, rng):
     failures = 0
     for b in range(cfg.n_boot):
         try:
-            points.append(float(point_fn(data.subset(idx[b]), spec, cfg)))
+            points.append(float(point_fn(_subset(data, idx[b]), spec, cfg)))
         except Exception:
             failures += 1
     est._check_draw_failures(failures, cfg.n_boot, "bootstrap resamples")
@@ -120,14 +126,6 @@ class TestDataset:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             Dataset(y=[np.nan, 2.0], z=[0.0, 1.0], x=np.zeros((2, 1)))
-
-    def test_subset_keeps_names(self):
-        data, _ = _sim_data(n=50)
-        treated = np.flatnonzero(data.z == 1.0)[:5]
-        control = np.flatnonzero(data.z == 0.0)[:5]
-        sub = data.subset(np.concatenate([treated, control]))
-        assert sub.column_names == data.column_names
-        assert sub.n == 10
 
 
 class TestResultInvariants:
@@ -320,16 +318,35 @@ class TestUnstabilizedWeights:
 
 
 class TestTreatmentFitPolicy:
-    def test_abandoned_treatment_fit_raises(self):
+    @staticmethod
+    def _separated():
         # Complete separation on a small-scale covariate: IRLS abandons the
-        # full-sample fit, and no estimator proceeds with NaN probabilities.
+        # full-sample fit.
         x = 0.01 * np.r_[-np.ones(4), np.ones(4)]
         data = Dataset(y=np.arange(8.0), z=np.r_[np.zeros(4), np.ones(4)], x=x[:, None])
-        spec = CovariateSpec(s_columns=(), b_columns=((0, est.IDENTITY),))
+        return data, CovariateSpec(s_columns=(), b_columns=((0, est.IDENTITY),))
+
+    def _assert_each_raises(self, data, spec):
         cfg = ResamplingConfig(n_draws=4, n_boot=4)
         for tag in ("iptw", "or_ps_info", "is"):
             with pytest.raises(EstimatorError, match="treatment-model fit"):
                 ESTIMATORS[tag](data, spec, cfg, RngStream(29, 0).child(STREAM_KEYS[tag]))
+
+    def test_abandoned_treatment_fit_raises(self):
+        # No estimator proceeds with NaN probabilities.
+        self._assert_each_raises(*self._separated())
+
+    def test_failed_treatment_fit_runs_once_per_data_set(self, monkeypatch):
+        calls = []
+        inner = est.fit_logistic_weighted
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(est, "fit_logistic_weighted", counting)
+        self._assert_each_raises(*self._separated())
+        assert len(calls) == 1
 
 
 class TestTwoStep:
@@ -391,15 +408,70 @@ def _central_diff_hessian(fun, x, rel_step=1e-5):
 
 class TestJoint:
     @staticmethod
-    def _problem(n=500, seed=3):
-        data, spec = _sim_data(n=n, seed=seed)
+    def _loglik(data, spec):
         base = est.plain_outcome_design(data, spec).values
         bvals = est.treatment_design(data, spec).values
 
         def loglik(gamma, phi=None, hessian=False):
             return _joint_loglik(data.y, data.z, base, bvals, gamma, phi, hessian)
 
-        return data, spec, base.shape[1] + 3, loglik
+        return base.shape[1] + 3, loglik
+
+    def _problem(self, n=500, seed=3):
+        data, spec = _sim_data(n=n, seed=seed)
+        return data, spec, *self._loglik(data, spec)
+
+    def test_one_bfgs_call_reaches_gradient_limit(self, monkeypatch):
+        data, spec, p_phi, loglik = self._problem()
+        calls = []
+        inner = est.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(est, "minimize", counting)
+        res = est.joint_estimation(data, spec, CFG, RngStream(3, 0).child(STREAM_KEYS["joint"]))
+        assert len(calls) == 1
+        assert res.diagnostics["optimizer_evaluations"] > 0
+        grad = loglik(np.array(res.diagnostics["ps_coef"]))[1]
+        assert np.abs(grad[p_phi:]).max() <= est.JOINT_GTOL
+
+    def test_stays_in_the_treatment_fit_basin(self):
+        # Acceptance seed, scenario I, n=500, replication 117: here a BFGS
+        # search seeded with the inverse treatment information (instead of
+        # the identity) reaches a second stationary point with a higher
+        # log-likelihood and an indefinite, ill-conditioned Hessian.  The fit
+        # must stay with a tight search from the treatment-only fit.
+        from drbayes.simulation import _DATA_KEY
+
+        rep = RngStream(20160667, stream_id=117)
+        data = generate_data(500, rep.child(_DATA_KEY))
+        spec = apply_scenario(data, "I")
+        res = est.joint_estimation(data, spec, CFG, rep.child(STREAM_KEYS["joint"]))
+        p_phi, loglik = self._loglik(data, spec)
+
+        def neg_concentrated(gamma):
+            value, grad, _, _ = loglik(gamma)
+            return -value, -grad[p_phi:]
+
+        start = est._ps_fit(data, spec)[1].gamma
+        options = {"gtol": 1e-8, "maxiter": 1000}
+        reference = minimize(neg_concentrated, start, jac=True, method="BFGS", options=options)
+        np.testing.assert_allclose(res.diagnostics["ps_coef"], reference.x, rtol=1e-6)
+
+    # An offset of 5 makes the outcome block singular; 0.3 leaves the
+    # gradient above the limit after the Newton step.
+    @pytest.mark.parametrize("offset", [5.0, 0.3])
+    def test_far_off_optimizer_point_raises(self, monkeypatch, offset):
+        data, spec, _, _ = self._problem()
+
+        def far_off(fun, x0, **kwargs):
+            return OptimizeResult(x=x0 + offset, nfev=1)
+
+        monkeypatch.setattr(est, "minimize", far_off)
+        with pytest.raises(EstimatorError, match="concentrated gradient"):
+            est.joint_estimation(data, spec, CFG, RngStream(3, 0).child(STREAM_KEYS["joint"]))
 
     def test_analytic_gradients_match_central_differences(self):
         data, spec, p_phi, loglik = self._problem()
