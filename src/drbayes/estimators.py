@@ -359,6 +359,16 @@ def _ipw_rows(z, W, E, stabilize):
     return np.where(z == 1.0, pbar / E, (1.0 - pbar) / (1.0 - E))
 
 
+def _ipw_row_max(z, W, E, stabilize):
+    """Row maxima of :func:`_ipw_rows` without its (m, n) matrix: each arm's
+    weight peaks at its extreme propensity, and rounding keeps that order."""
+    treated = z == 1.0
+    pbar = (W @ z) / W.sum(axis=1) if stabilize else 1.0
+    treated_max = pbar / E[:, treated].min(axis=1)
+    control_max = (1.0 - pbar if stabilize else 1.0) / (1.0 - E[:, ~treated].max(axis=1))
+    return np.maximum(treated_max, control_max)
+
+
 def dr_contrast(y, z, e, m_obs, m1, m0, weights):
     """Doubly robust contrast: inverse-probability-weighted residual term
     plus model-based standardization term, both averaged with ``weights``
@@ -630,10 +640,7 @@ def _clever_rows(data, spec, W, E):
     row.  Returns ``(values, ok, dropped_columns)``."""
     y, z = data.y, data.z
     base = plain_outcome_design(data, spec).values
-    designs = np.empty((*W.shape, base.shape[1] + 1))
-    designs[:, :, :-1] = base
-    designs[:, :, -1] = clever_covariate(z, E)
-    lin = fit_linear_weighted_many(designs, y, W)
+    lin = fit_linear_weighted_many(base, y, W, extra=(clever_covariate(z, E),))
     if not lin.ok[0]:
         lin = fit_linear_weighted_many(base, y, W)
         return lin.phi[:, Z_COL], lin.ok, ("clever",)
@@ -696,19 +703,6 @@ def _dirichlet_plan(data, spec, rng, n_draws):
     return xi, batch, e
 
 
-def _with_cubic_basis(base, e_rows):
-    """Stack per-draw outcome designs: shared base plus centered cubic basis
-    of each row of fitted probabilities."""
-    m, n = e_rows.shape
-    d = e_rows - e_rows.mean(axis=1, keepdims=True)
-    designs = np.empty((m, n, base.shape[1] + 3))
-    designs[:, :, : base.shape[1]] = base
-    designs[:, :, base.shape[1]] = d
-    designs[:, :, base.shape[1] + 1] = d**2
-    designs[:, :, base.shape[1] + 2] = d**3
-    return designs
-
-
 def _batch_cholesky(cov, ok):
     """Per-draw PSD factors with a per-row fallback; updates ``ok``."""
     m, p, _ = cov.shape
@@ -741,16 +735,18 @@ def _two_step_draws(data, spec, cfg, rng):
     gen_noise = rng.child(_SUB_NOISE).generator()
 
     _, ps_batch, e = _dirichlet_plan(data, spec, rng, m)
+    # Per-draw columns: the centered cubic basis of the draw's probabilities.
+    d = e - e.mean(axis=1, keepdims=True)
+    d2 = d * d
     base = plain_outcome_design(data, spec).values
-    designs = _with_cubic_basis(base, e)
-    lin_batch = fit_linear_weighted_many(designs, data.y, weights=None)
+    lin_batch = fit_linear_weighted_many(base, data.y, extra=(d, d2, d2 * d))
     ok = ps_batch.converged & lin_batch.ok
 
     contrast_hat = lin_batch.phi[:, Z_COL]
     model_var = lin_batch.cov[:, Z_COL, Z_COL]
 
     factors = _batch_cholesky(lin_batch.cov, ok)
-    noise = gen_noise.standard_normal((m, designs.shape[2]))
+    noise = gen_noise.standard_normal(lin_batch.phi.shape)
     phi_draw = lin_batch.phi + np.matmul(factors, noise[:, :, None])[:, :, 0]
     contrast_draw = phi_draw[:, Z_COL]
 
@@ -949,14 +945,15 @@ def joint_estimation(data, spec, cfg, rng):
 # importance sampling (Bayesian bootstrap with treatment weights)
 
 
-def _draw_diagnostics(ok, w, batch):
+def _draw_diagnostics(ok, w_max, batch):
     """Failure count (checked against the 10% limit), largest importance
-    weight among successful draws, and the first draw's treatment fit."""
+    weight among successful draws (``w_max`` holds each draw's largest), and
+    the first draw's treatment fit."""
     n_failed = int((~ok).sum())
     _check_draw_failures(n_failed, ok.shape[0], "posterior draws")
     return {
         "draw_failures": n_failed,
-        "weight_max": float(np.max(w[ok])),
+        "weight_max": float(np.max(w_max[ok])),
         "ps_coef": tuple(float(g) for g in batch.gamma[0]),
     }
 
@@ -970,7 +967,8 @@ def importance_sampling(data, spec, cfg, rng):
     xi, batch, e = _dirichlet_plan(data, spec, rng, cfg.n_draws)
     values, fit_ok, w = _or_iptw_rows(data, spec, xi, _clamp_ps(e), cfg.stabilize)
     ok = batch.converged & fit_ok
-    return _result_from_draws("is", values[ok], diagnostics=_draw_diagnostics(ok, w, batch))
+    diag = _draw_diagnostics(ok, w.max(axis=1), batch)
+    return _result_from_draws("is", values[ok], diagnostics=diag)
 
 
 def importance_sampling_dr(data, spec, cfg, rng):
@@ -982,7 +980,7 @@ def importance_sampling_dr(data, spec, cfg, rng):
     E = _clamp_ps(e)
     values, fit_ok, residual = _dr_rows(data, spec, xi, E)
     ok = batch.converged & fit_ok
-    diag = _draw_diagnostics(ok, _ipw_rows(data.z, xi, E, cfg.stabilize), batch)
+    diag = _draw_diagnostics(ok, _ipw_row_max(data.z, xi, E, cfg.stabilize), batch)
     diag["mean_abs_residual_term"] = float(np.mean(np.abs(residual[ok])))
     return _result_from_draws("is_dr", values[ok], diagnostics=diag)
 

@@ -7,13 +7,13 @@ rescaling all weights by a positive constant leaves coefficients, residual
 variance, and reported covariance unchanged.
 
 Batched variants (``*_many``) fit one model per row of a weight matrix
-against a shared (or per-row) design.  They exist because the resampling
-estimators refit the same small model hundreds of times per dataset; a
-row-batched Newton step is an order of magnitude faster than a Python loop
-over fits.  There is one IRLS loop: the single logistic fit is the batched
-fit of one weight row, so both stop by the same score rule.  The linear
-fits are closed form and the batched ones agree with the single fits to
-rounding.
+against a shared design, plus per-row extra columns in the linear case.
+They exist because the resampling estimators refit the same small model
+hundreds of times per dataset; a row-batched Newton step is an order of
+magnitude faster than a Python loop over fits.  There is one IRLS loop: the
+single logistic fit is the batched fit of one weight row, so both stop by
+the same score rule.  The linear fits are closed form and the batched ones
+agree with the single fits to rounding.
 """
 
 from __future__ import annotations
@@ -419,42 +419,44 @@ class BatchLinear:
     ok: np.ndarray  # (m,) bool
 
 
-def fit_linear_weighted_many(x, y, weights=None):
-    """Closed-form WLS for many weight rows and/or per-row designs.
+def fit_linear_weighted_many(x, y, weights=None, extra=()):
+    """Closed-form WLS for many rows: a shared design plus per-row columns.
 
-    ``x`` may be (n, p) shared across rows or (m, n, p); ``weights`` is
-    (m, n) or None for unweighted fits.  Singular rows are flagged in ``ok``
-    instead of raising.
+    ``x`` is the (n, p0) design shared by every row and ``extra`` holds k
+    per-row columns, each (m, n), appended after it: row r fits
+    ``[x, extra[0][r], ..., extra[k-1][r]]``.  ``weights`` is (m, n), or
+    None for unweighted fits, which need ``extra``.  The Gram matrix is
+    bordered: ``x'Wx`` from one product over the column pairs of ``x``
+    (computed once when unweighted), the cross blocks ``(W C_j) @ x`` and a
+    k x k corner of row sums, so no (m, n, p0 + k) design is built.
+    Singular rows are flagged in ``ok`` instead of raising.
     """
     xv = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    shared_design = xv.ndim == 2
-    if shared_design:
-        n, p = xv.shape
-        if weights is None:
-            raise ValueError("shared design with no weights is a single fit")
-        m = weights.shape[0]
-    else:
-        m, n, p = xv.shape
-
+    cols = [np.asarray(c, dtype=float) for c in extra]
+    if weights is None and not cols:
+        raise ValueError("shared design with no weights is a single fit")
+    n, p0 = xv.shape
+    m, p = (cols[0] if weights is None else weights).shape[0], p0 + len(cols)
+    a, b = np.empty((m, p, p)), np.empty((m, p))
     if weights is None:
-        wnorm = np.ones((m, n))
+        a[:, :p0, :p0] = xv.T @ xv
+        b[:, :p0] = y @ xv
+        wnorm, wcols = None, cols
     else:
         row_means = weights.mean(axis=1, keepdims=True)
         wnorm = weights / np.where(row_means > 0, row_means, 1.0)
-
-    if shared_design:
-        iu = _upper_triangle(p)
-        a = _scatter_symmetric(wnorm @ (xv[:, iu[0]] * xv[:, iu[1]]), p, iu)
-        b = (wnorm * y) @ xv
-    else:
-        xw = wnorm[:, :, None] * xv
-        a = np.matmul(xv.transpose(0, 2, 1), xw)
-        b = np.matmul(xv.transpose(0, 2, 1), (wnorm * y)[:, :, None])[:, :, 0]
+        iu = _upper_triangle(p0)
+        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = wnorm @ (xv[:, iu[0]] * xv[:, iu[1]])
+        b[:, :p0] = (wnorm * y) @ xv
+        wcols = [wnorm * c for c in cols]
+    for j, wc in enumerate(wcols, start=p0):
+        a[:, j, :p0] = a[:, :p0, j] = wc @ xv
+        b[:, j] = wc @ y
+        for i, c in enumerate(cols[j - p0 :], start=j):
+            a[:, i, j] = a[:, j, i] = np.einsum("ri,ri->r", wc, c)
 
     phi = np.empty((m, p))
-    cov = np.empty((m, p, p))
-    sigma2 = np.empty(m)
     ok = _gram_rows_well_posed(a)
     a_solvable = np.where(ok[:, None, None], a, np.eye(p)[None])
     try:
@@ -471,14 +473,14 @@ def fit_linear_weighted_many(x, y, weights=None):
                 phi[k] = np.nan
                 a_inv[k] = np.nan
     phi[~ok] = np.nan
-    if shared_design:
-        resid = phi @ xv.T
-    else:
-        resid = np.matmul(xv, phi[:, :, None])[:, :, 0]
+    resid = phi[:, :p0] @ xv.T
+    for j, c in enumerate(cols, start=p0):
+        resid += phi[:, j, None] * c
     # Weighted squared residuals, in place in one buffer.
     np.subtract(y, resid, out=resid)
     resid *= resid
-    resid *= wnorm
+    if wnorm is not None:
+        resid *= wnorm
     sigma2 = resid.sum(axis=1) / n
     cov = sigma2[:, None, None] * a_inv
     ok &= np.all(np.isfinite(phi), axis=1)

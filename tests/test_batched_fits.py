@@ -20,6 +20,7 @@ from drbayes.glm import (
     SEPARATION_BOUND,
     BatchLogistic,
     NonConvergenceError,
+    SingularDesignError,
     _scatter_symmetric,
     fit_linear_weighted,
     fit_linear_weighted_many,
@@ -212,6 +213,61 @@ class TestBatchedEqualsSingle:
                 np.testing.assert_allclose(
                     batch.gamma[k], single.gamma, rtol=1e-8, atol=GAMMA_ATOL
                 )
+
+
+def _assert_close_to_largest(actual, desired, rel=1e-10):
+    """Entry-wise agreement within ``rel`` of the largest entry of ``desired``."""
+    np.testing.assert_allclose(actual, desired, rtol=rel, atol=rel * np.abs(desired).max())
+
+
+class TestBorderedLinear:
+    @PROPERTY
+    @given(
+        n=st.integers(15, 60),
+        k=st.sampled_from([1, 3]),
+        kind=st.sampled_from(["unweighted", "counts", "dirichlet"]),
+        collinear=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bordered_fit_equals_stacked_single_fit(self, n, k, kind, collinear, seed):
+        # Row r's design is the shared x followed by extra[:, r].  Row 1's
+        # weights have zeros; with ``collinear``, row 2's first extra column
+        # is an affine function of x's second column.
+        gen = np.random.default_rng(seed)
+        m = 4
+        x = np.column_stack([np.ones(n), gen.standard_normal((n, 2))])
+        y = x @ np.array([0.5, 1.0, -1.0]) + gen.standard_normal(n)
+        extra = gen.standard_normal((k, m, n))
+        if collinear:
+            extra[0, 2] = 2.0 * x[:, 1] + 1.0
+        if kind == "unweighted":
+            weights = None
+        elif kind == "counts":
+            weights = gen.integers(1, 4, (m, n)).astype(float)
+        else:
+            weights = gen.dirichlet(np.ones(n), m)
+        if weights is not None:
+            weights[1, : n // 3] = 0.0
+        batch = fit_linear_weighted_many(x, y, weights, extra=tuple(extra))
+        for r in range(m):
+            stacked = np.column_stack([x, *extra[:, r]])
+            w = None if weights is None else weights[r]
+            if collinear and r == 2:
+                assert not batch.ok[r]
+                assert np.isnan(batch.phi[r]).all()
+                with pytest.raises(SingularDesignError):
+                    fit_linear_weighted(stacked, y, w)
+                continue
+            single = fit_linear_weighted(stacked, y, w)
+            assert batch.ok[r]
+            _assert_close_to_largest(batch.phi[r], single.phi)
+            assert batch.sigma2[r] == pytest.approx(single.sigma2, rel=1e-10)
+            _assert_close_to_largest(batch.cov[r], single.cov)
+
+    def test_unweighted_needs_extra_columns(self):
+        x = np.column_stack([np.ones(10), np.arange(10.0)])
+        with pytest.raises(ValueError, match="single fit"):
+            fit_linear_weighted_many(x, np.arange(10.0))
 
 
 def _treatment_plan(n, m, kind, seed):

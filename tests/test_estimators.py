@@ -22,7 +22,9 @@ from drbayes.estimators import (
     naive,
     or_iptw,
     or_ps_info,
+    clever_outcome_design,
     plain_outcome_design,
+    ps_outcome_design,
     treatment_design,
     two_step_pair,
     two_step_vardecomp,
@@ -363,6 +365,47 @@ class TestTwoStep:
         data, spec = _sim_data(n=150, seed=14)
         res = two_step_vardecomp(data, spec, CFG, RngStream(14, 0))
         assert res.se**2 >= res.diagnostics["mean_model_variance"]
+
+
+class TestBorderedOutcomeFits:
+    """The batched outcome fits, built from a shared design plus per-row
+    columns, against single fits of each row's explicitly stacked design."""
+
+    def test_two_step_contrasts_match_single_fits(self):
+        data, spec = _sim_data(n=500, seed=31)
+        rng = RngStream(31, 0).child(STREAM_KEYS["two_step_forward"])
+        contrast_hat, model_var, _, diag = est._two_step_draws(data, spec, CFG, rng)
+        _, batch, e = est._dirichlet_plan(data, spec, rng, CFG.n_draws)
+        assert diag["draw_failures"] == 0 and batch.converged.all()
+        for k in range(CFG.n_draws):
+            single = fit_linear_weighted(ps_outcome_design(data, spec, e[k]), data.y)
+            assert contrast_hat[k] == pytest.approx(single.phi[est.Z_COL], rel=1e-10)
+            assert model_var[k] == pytest.approx(single.cov[est.Z_COL, est.Z_COL], rel=1e-10)
+
+    def test_clever_rows_match_single_fits(self):
+        data, spec = _sim_data(n=500, seed=31)
+        rng = RngStream(31, 0).child(STREAM_KEYS["clever"])
+        W, E, _, _ = est._count_plan(data, spec, rng, CFG.n_boot)
+        values, ok, dropped = est._clever_rows(data, spec, W, E)
+        assert ok.all() and dropped == ()
+        for k in range(W.shape[0]):
+            single = fit_linear_weighted(clever_outcome_design(data, spec, E[k]), data.y, W[k])
+            correction = W[k] @ (1.0 / E[k] + 1.0 / (1.0 - E[k])) / W[k].sum()
+            oracle = single.phi[est.Z_COL] + single.phi[-1] * correction
+            assert values[k] == pytest.approx(oracle, rel=1e-10)
+
+    @pytest.mark.parametrize("stabilize", [True, False])
+    def test_is_dr_weight_max_equals_matrix_form(self, stabilize):
+        data, spec = _sim_data(n=500, seed=32)
+        cfg = ResamplingConfig(n_draws=40, n_boot=2, stabilize=stabilize)
+        rng = RngStream(32, 0).child(STREAM_KEYS["is_dr"])
+        res = importance_sampling_dr(data, spec, cfg, rng)
+        xi, batch, e = est._dirichlet_plan(data, spec, rng, cfg.n_draws)
+        E = est._clamp_ps(e)
+        w = est._ipw_rows(data.z, xi, E, stabilize)
+        np.testing.assert_array_equal(est._ipw_row_max(data.z, xi, E, stabilize), w.max(axis=1))
+        assert res.diagnostics["draw_failures"] == 0
+        assert res.diagnostics["weight_max"] == w.max()
 
 
 def _central_diff_grad(fun, x, rel_step=1e-6):

@@ -200,14 +200,13 @@ class TestLinearFit:
             np.testing.assert_allclose(batch.cov[k], single.cov, atol=1e-8)
 
     def test_batch_per_draw_designs(self):
+        # Per-draw designs: a shared intercept plus two per-row columns.
         gen = RngStream(15).generator()
-        designs = np.empty((5, 40, 3))
-        designs[:, :, 0] = 1.0
-        designs[:, :, 1:] = gen.standard_normal((5, 40, 2))
+        extra = gen.standard_normal((2, 5, 40))
         y = gen.standard_normal(40)
-        batch = fit_linear_weighted_many(designs, y)
+        batch = fit_linear_weighted_many(np.ones((40, 1)), y, extra=tuple(extra))
         for k in range(5):
-            single = fit_linear_weighted(designs[k], y)
+            single = fit_linear_weighted(np.column_stack([np.ones(40), *extra[:, k]]), y)
             np.testing.assert_allclose(batch.phi[k], single.phi, atol=1e-10)
 
 
