@@ -68,7 +68,6 @@ __all__ = [
     "plain_outcome_design",
     "ps_outcome_design",
     "clever_outcome_design",
-    "dr_contrast",
     "naive",
     "g_formula_adjusted",
     "iptw",
@@ -369,19 +368,6 @@ def _ipw_row_max(z, W, E, stabilize):
     return np.maximum(treated_max, control_max)
 
 
-def dr_contrast(y, z, e, m_obs, m1, m0, weights):
-    """Doubly robust contrast: inverse-probability-weighted residual term
-    plus model-based standardization term, both averaged with ``weights``
-    (which should sum to one).
-
-    Returns ``(value, residual_term, model_term)``.
-    """
-    cc = clever_covariate(z, e)
-    residual_term = float(np.sum(weights * (y - m_obs) * cc))
-    model_term = float(np.sum(weights * (m1 - m0)))
-    return residual_term + model_term, residual_term, model_term
-
-
 # ---------------------------------------------------------------------------
 # bootstrap plumbing
 
@@ -522,27 +508,6 @@ def iptw(data, spec, cfg, rng):
 # outcome regression with propensity adjustment
 
 
-def _fit_outcome_with_fallback(design, y, droppable):
-    """Least squares fit that falls back to dropping the discretionary
-    ``droppable`` columns when the design is collinear.
-
-    A rank deficiency can be attributed to any member of a collinear group,
-    so on failure every droppable column is removed (they are the derived
-    augmentation; the base columns are part of the estimator's contract).
-    """
-    try:
-        return fit_linear_weighted(design, y), design, ()
-    except SingularDesignError:
-        dropped = tuple(c for c in design.column_labels if c in droppable)
-        if not dropped:
-            raise
-        keep = [j for j, lab in enumerate(design.column_labels) if lab not in dropped]
-        reduced = DesignMatrix(
-            design.values[:, keep], [design.column_labels[j] for j in keep]
-        )
-        return fit_linear_weighted(reduced, y), reduced, dropped
-
-
 @dataclass
 class _OrPsParts:
     ps_design: DesignMatrix
@@ -559,14 +524,18 @@ def _or_ps_parts(data, spec):
     """The propensity-adjusted outcome fit shared by ``or_ps_info`` and
     ``or_ps_sandwich``, fit once per data set; callers copy ``diag``."""
     ps_design, ps_fit, e, diag = _ps_fit(data, spec)
-    design = ps_outcome_design(data, spec, e)
-    fit, used, dropped = _fit_outcome_with_fallback(
-        design, data.y, droppable=("ps^1", "ps^2", "ps^3")
-    )
-    if dropped:
+    design, dropped = ps_outcome_design(data, spec, e), ()
+    try:
+        fit = fit_linear_weighted(design, data.y)
+    except SingularDesignError:
+        # A rank deficiency can be attributed to any member of a collinear
+        # group, so the whole derived basis is dropped; the base columns are
+        # part of the estimator's contract.
+        design, dropped = plain_outcome_design(data, spec), ("ps^1", "ps^2", "ps^3")
+        fit = fit_linear_weighted(design, data.y)
         diag["dropped_columns"] = list(dropped)
-    _freeze(used.values, fit.phi, fit.cov)
-    return _OrPsParts(ps_design, ps_fit, e, used, fit, dropped, diag)
+    _freeze(design.values, fit.phi, fit.cov)
+    return _OrPsParts(ps_design, ps_fit, e, design, fit, dropped, diag)
 
 
 def or_ps_info(data, spec, cfg=None, rng=None):
@@ -820,7 +789,7 @@ def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     p_phi = p_base + 3
     e = expit(bvals @ gamma)
     d = e - e.mean()
-    design = np.column_stack([base, d, d * d, d * d * d])
+    design = np.column_stack([base, cubic_ps_basis(e)])
     if phi is None:
         phi = np.linalg.solve(design.T @ design, design.T @ y)
     resid = y - design @ phi
@@ -875,7 +844,8 @@ def joint_estimation(data, spec, cfg, rng):
     (``gtol=1e-3``) is polished by one Newton step on the exact concentrated
     Hessian, the Schur complement of the outcome block.  Unless the largest
     absolute concentrated gradient is then at most ``JOINT_GTOL``, the fit
-    raises :class:`EstimatorError`.  The draw covariance is the inverse of
+    raises :class:`EstimatorError`, as it does when the search meets a
+    singular outcome block.  The draw covariance is the inverse of
     the analytic Hessian of the profiled joint log-likelihood at that point.
     """
     y, z = data.y, data.z
@@ -889,11 +859,13 @@ def joint_estimation(data, spec, cfg, rng):
         return -value, -grad[p_phi:]
 
     options = {"gtol": 1e-3, "maxiter": 200}
-    res = minimize(neg_concentrated, ps_fit.gamma, jac=True, method="BFGS", options=options)
-    # The gradient stays NaN when a block is singular or the step is not
-    # finite, so every failure meets the one check below.
-    gmax = math.nan
+    # The gradient stays NaN when a block is singular, in the search or the
+    # polish, or the step is not finite, so every failure meets the one
+    # check below.
+    gmax, stage = math.nan, "the BFGS search"
     try:
+        res = minimize(neg_concentrated, ps_fit.gamma, jac=True, method="BFGS", options=options)
+        stage = f"{res.nfev} BFGS evaluations and one Newton step"
         _, grad, _, hessian = _joint_loglik(y, z, base, bvals, res.x, hessian=True)
         cross = hessian[:p_phi, p_phi:]
         concentrated = hessian[p_phi:, p_phi:] - cross.T @ np.linalg.solve(
@@ -909,7 +881,7 @@ def joint_estimation(data, spec, cfg, rng):
         raise EstimatorError(
             f"joint fit did not converge: max |concentrated gradient| {gmax:.3g} "
             f"(limit {JOINT_GTOL:g}; nan: singular block or non-finite Newton step) "
-            f"after {res.nfev} BFGS evaluations and one Newton step"
+            f"after {stage}"
         )
     theta = np.concatenate([phi, gamma])
 

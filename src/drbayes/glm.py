@@ -10,10 +10,10 @@ Batched variants (``*_many``) fit one model per row of a weight matrix
 against a shared design, plus per-row extra columns in the linear case.
 They exist because the resampling estimators refit the same small model
 hundreds of times per dataset; a row-batched Newton step is an order of
-magnitude faster than a Python loop over fits.  There is one IRLS loop: the
-single logistic fit is the batched fit of one weight row, so both stop by
-the same score rule.  The linear fits are closed form and the batched ones
-agree with the single fits to rounding.
+magnitude faster than a Python loop over fits.  Each family has one kernel:
+the single fit is the batched fit of one weight row, so a single logistic
+fit stops by the same score rule, and a single linear fit is judged by the
+same rank rule, as every batched row.
 """
 
 from __future__ import annotations
@@ -151,19 +151,9 @@ def _collinear_columns(xw, labels):
 RANK_TOL = 1e-10
 
 
-def _gram_is_well_posed(a):
-    """Numerical full-rank check of a Gram matrix, on the correlation scale."""
-    diag = np.diagonal(a)
-    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
-        return False
-    scale = np.sqrt(diag)
-    corr = a / np.outer(scale, scale)
-    eigvals = np.linalg.eigvalsh(corr)
-    return bool(eigvals[0] > RANK_TOL)
-
-
 def _gram_rows_well_posed(a):
-    """Vectorized version of :func:`_gram_is_well_posed` for (m, p, p)."""
+    """Numerical full-rank check of each Gram matrix in (m, p, p), on the
+    correlation scale."""
     diag = np.diagonal(a, axis1=1, axis2=2)
     good = np.all(np.isfinite(diag), axis=1) & np.all(diag > 0.0, axis=1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
@@ -372,7 +362,8 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
 
 
 def fit_linear_weighted(x, y, weights=None):
-    """Weighted least squares in closed form.
+    """Weighted least squares in closed form: the one-row case of
+    :func:`fit_linear_weighted_many`, with the same rank rule.
 
     ``sigma2`` is the weighted residual sum of squares divided by the total
     weight (maximum-likelihood scale), and ``cov = sigma2 * (X'WX)^{-1}``
@@ -383,29 +374,22 @@ def fit_linear_weighted(x, y, weights=None):
     weighted normal equations are rank deficient.
     """
     xv = _as_values(x)
-    y = np.asarray(y, dtype=float)
     n, p = xv.shape
-    weights = _check_weights(weights, n)
-    wnorm = weights / weights.mean()
-
-    xw = xv * wnorm[:, None]
-    a = xw.T @ xv
-    b = xw.T @ y
-    if not _gram_is_well_posed(a):
-        suspects = _collinear_columns(xv * np.sqrt(wnorm)[:, None], _labels(x, p))
+    if weights is not None:
+        weights = _check_weights(weights, n)
+    batch = fit_linear_weighted_many(xv, y, None if weights is None else weights[None, :])
+    if not batch.ok[0]:
+        scale = 1.0 if weights is None else np.sqrt(weights / weights.mean())[:, None]
+        suspects = _collinear_columns(xv * scale, _labels(x, p))
         raise SingularDesignError(
             f"rank-deficient weighted design; collinear columns: {suspects}",
             columns=suspects,
         )
-    phi = np.linalg.solve(a, b)
-    resid = y - xv @ phi
-    sigma2 = float(wnorm @ resid**2 / n)
-    a_inv = np.linalg.inv(a)
     return FittedLinear(
-        phi=phi,
-        sigma2=sigma2,
-        cov=sigma2 * a_inv,
-        n_effective=float(weights.sum()),
+        phi=batch.phi[0],
+        sigma2=float(batch.sigma2[0]),
+        cov=batch.cov[0],
+        n_effective=float(n if weights is None else weights.sum()),
     )
 
 
@@ -425,19 +409,19 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
     ``x`` is the (n, p0) design shared by every row and ``extra`` holds k
     per-row columns, each (m, n), appended after it: row r fits
     ``[x, extra[0][r], ..., extra[k-1][r]]``.  ``weights`` is (m, n), or
-    None for unweighted fits, which need ``extra``.  The Gram matrix is
-    bordered: ``x'Wx`` from one product over the column pairs of ``x``
-    (computed once when unweighted), the cross blocks ``(W C_j) @ x`` and a
-    k x k corner of row sums, so no (m, n, p0 + k) design is built.
-    Singular rows are flagged in ``ok`` instead of raising.
+    None for unweighted fits: one per row of ``extra``, or a single fit
+    (m = 1) when there is no ``extra``.  The Gram matrix is bordered:
+    ``x'Wx`` from one product over the column pairs of ``x`` (computed once
+    when unweighted), the cross blocks ``(W C_j) @ x`` and a k x k corner of
+    row sums, so no (m, n, p0 + k) design is built.  Singular rows are
+    flagged in ``ok`` instead of raising.
     """
     xv = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in extra]
-    if weights is None and not cols:
-        raise ValueError("shared design with no weights is a single fit")
     n, p0 = xv.shape
-    m, p = (cols[0] if weights is None else weights).shape[0], p0 + len(cols)
+    p = p0 + len(cols)
+    m = len(weights) if weights is not None else len(cols[0]) if cols else 1
     a, b = np.empty((m, p, p)), np.empty((m, p))
     if weights is None:
         a[:, :p0, :p0] = xv.T @ xv
@@ -458,7 +442,7 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
 
     phi = np.empty((m, p))
     ok = _gram_rows_well_posed(a)
-    a_solvable = np.where(ok[:, None, None], a, np.eye(p)[None])
+    a_solvable = a if ok.all() else np.where(ok[:, None, None], a, np.eye(p)[None])
     try:
         phi = np.linalg.solve(a_solvable, b[:, :, None])[:, :, 0]
         a_inv = np.linalg.inv(a_solvable)
@@ -508,7 +492,7 @@ def cubic_ps_basis(e):
     if np.any(e <= 0.0) or np.any(e >= 1.0):
         raise ValueError("basis requires probabilities strictly inside (0, 1)")
     d = e - e.mean()
-    return np.column_stack([d, d**2, d**3])
+    return np.column_stack([d, d * d, d * d * d])
 
 
 def cubic_ps_basis_jacobian(ps_design, e):
@@ -571,15 +555,7 @@ def fd_mean_score_cross_derivative(build_outcome_design, gamma, phi, sigma2, y, 
 
 
 def ps_adjusted_treatment_variance(
-    outcome_fit,
-    ps_fit,
-    y,
-    z,
-    ps_design,
-    outcome_design,
-    design_jacobian,
-    treatment_col=1,
-    include_ps_correction=True,
+    outcome_fit, ps_fit, y, z, ps_design, outcome_design, design_jacobian, treatment_col=1
 ):
     """Sandwich variance of the treatment coefficient, propagating the
     first-stage propensity fit.
@@ -589,9 +565,10 @@ def ps_adjusted_treatment_variance(
     respect to them (zero for columns that do not involve the propensity).
     The outcome-score/propensity-parameter cross derivative is then exact:
     the sample mean of ``(dX_i' r_i - X_i (dX_i phi)) / sigma2``.  All
-    expectations are replaced by sample means.  With
-    ``include_ps_correction=False`` the correction term is dropped and the
-    result is the conventional robust (HC0) sandwich of the outcome fit.
+    expectations are replaced by sample means.  A zero ``design_jacobian``
+    (an outcome design that does not involve the propensity) zeroes the
+    correction term, and the result is exactly the conventional robust
+    (HC0) sandwich of the outcome fit.
 
     Returns the variance (not the standard error) of the treatment
     coefficient.
@@ -610,23 +587,18 @@ def ps_adjusted_treatment_variance(
     u_phi = xout * resid[:, None] / sigma2
     a_phi = xout.T @ xout / (n * sigma2)
 
-    if include_ps_correction:
-        bv = _as_values(ps_design)
-        e = expit(bv @ ps_fit.gamma)
-        u_gam = bv * (z - e)[:, None]
-        a_gam = (bv * (e * (1.0 - e))[:, None]).T @ bv / n
-        cross = (
-            np.einsum("iaj,i->aj", design_jacobian, resid)
-            - xout.T @ np.einsum("ibj,b->ij", design_jacobian, phi)
-        ) / (n * sigma2)
-        try:
-            b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
-        except np.linalg.LinAlgError:
-            raise SingularInformationError(
-                "propensity information matrix is singular"
-            ) from None
-    else:
-        b_mat = u_phi
+    bv = _as_values(ps_design)
+    e = expit(bv @ ps_fit.gamma)
+    u_gam = bv * (z - e)[:, None]
+    a_gam = (bv * (e * (1.0 - e))[:, None]).T @ bv / n
+    cross = (
+        np.einsum("iaj,i->aj", design_jacobian, resid)
+        - xout.T @ np.einsum("ibj,b->ij", design_jacobian, phi)
+    ) / (n * sigma2)
+    try:
+        b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
+    except np.linalg.LinAlgError:
+        raise SingularInformationError("propensity information matrix is singular") from None
 
     v_b = b_mat.T @ b_mat / n
     tmp = np.linalg.solve(a_phi, v_b)

@@ -19,10 +19,9 @@ from .estimators import (
     Dataset,
     ResamplingConfig,
     clever_outcome_design,
-    dr_contrast,
     treatment_design,
 )
-from .glm import DesignMatrix, fit_linear_weighted, fit_logistic_weighted
+from .glm import DesignMatrix, clever_covariate, fit_linear_weighted, fit_logistic_weighted
 from .numerics import RngStream
 from .simulation import apply_scenario, generate_data
 
@@ -172,8 +171,7 @@ def check_saturated_outcome_kills_residual():
         e = est._clamp_ps(
             1.0 / (1.0 + np.exp(-(ps_design.values @ ps_fit.gamma)))
         )
-        fit = fit_linear_weighted(outcome_design, y, weights=xi)
-        phi = fit.phi
+        phi = fit_linear_weighted(outcome_design, y, weights=xi).phi
         # Brute-force oracle: the saturated fit must equal the weighted cell
         # means cell by cell.
         means = _cell_means(y, z, s, xi)
@@ -181,10 +179,7 @@ def check_saturated_outcome_kills_residual():
         cell_gap = max(
             abs(fitted[k] - means[(z[k], s[k])]) for k in range(data.n)
         )
-        m_obs = fitted
-        m1 = phi[0] + phi[1] + phi[2] * s + phi[3] * s
-        m0 = phi[0] + phi[2] * s
-        _, residual_term, _ = dr_contrast(y, z, e, m_obs, m1, m0, xi)
+        residual_term = float(np.sum(xi * (y - fitted) * clever_covariate(z, e)))
         worst = max(worst, abs(residual_term), cell_gap)
     return CheckResult(
         "saturated outcome model: DR residual term vanishes per draw",

@@ -1,12 +1,11 @@
-"""Batched fits against single fits, and the batched IRLS against its
-previous implementation.
+"""Batched fits against single fits, and the batched kernels against their
+previous implementations.
 
 The property tests draw small data sets with hypothesis and check that every
-row of a batched fit equals the single fit under the same weights.  The
-single logistic fit is the batched fit of one row, but a row's arithmetic
-can differ in the last bits with the number of rows around it, so
-coefficients are compared at the precision the stopping rule guarantees,
-not bit for bit.
+row of a batched fit equals the single fit under the same weights.  Each
+single fit is the batched fit of one row, but a row's arithmetic can differ
+in the last bits with the number of rows around it, so coefficients are
+compared at the precision the stopping rule guarantees, not bit for bit.
 """
 
 import numpy as np
@@ -17,8 +16,10 @@ from scipy.special import expit as scipy_expit
 
 from drbayes import estimators as est
 from drbayes.glm import (
+    RANK_TOL,
     SEPARATION_BOUND,
     BatchLogistic,
+    FittedLinear,
     NonConvergenceError,
     SingularDesignError,
     _scatter_symmetric,
@@ -99,6 +100,31 @@ def oracle_fit_logistic_weighted_many(x, z, weights, max_iter=100, score_tol=1e-
         separation=np.abs(np.where(np.isfinite(gamma), gamma, 0.0)).max(axis=1)
         > SEPARATION_BOUND,
         iterations=iterations,
+    )
+
+
+def oracle_fit_linear_weighted(x, y, weights=None):
+    """The single WLS fit as it was before it became the batched kernel's
+    one row: its own Gram matrix, solve, residual pass and rank check on the
+    correlation scale.  Returns None where that check finds the weighted
+    design rank deficient."""
+    n, p = x.shape
+    weights = np.ones(n) if weights is None else weights
+    wnorm = weights / weights.mean()
+    xw = x * wnorm[:, None]
+    a = xw.T @ x
+    b = xw.T @ y
+    diag = np.diagonal(a)
+    if np.any(diag <= 0.0) or not np.all(np.isfinite(diag)):
+        return None
+    scale = np.sqrt(diag)
+    if np.linalg.eigvalsh(a / np.outer(scale, scale))[0] <= RANK_TOL:
+        return None
+    phi = np.linalg.solve(a, b)
+    resid = y - x @ phi
+    sigma2 = float(wnorm @ resid**2 / n)
+    return FittedLinear(
+        phi=phi, sigma2=sigma2, cov=sigma2 * np.linalg.inv(a), n_effective=float(weights.sum())
     )
 
 
@@ -264,10 +290,48 @@ class TestBorderedLinear:
             assert batch.sigma2[r] == pytest.approx(single.sigma2, rel=1e-10)
             _assert_close_to_largest(batch.cov[r], single.cov)
 
-    def test_unweighted_needs_extra_columns(self):
+    def test_unweighted_without_extra_columns_is_one_row(self):
         x = np.column_stack([np.ones(10), np.arange(10.0)])
-        with pytest.raises(ValueError, match="single fit"):
-            fit_linear_weighted_many(x, np.arange(10.0))
+        y = np.sin(np.arange(10.0))
+        batch = fit_linear_weighted_many(x, y)
+        assert batch.phi.shape == (1, 2) and batch.ok.tolist() == [True]
+        np.testing.assert_allclose(batch.phi[0], np.linalg.lstsq(x, y)[0], rtol=1e-12)
+
+
+class TestSingleLinearAgainstPreviousFit:
+    @PROPERTY
+    @given(
+        n=st.integers(15, 60),
+        p=st.integers(1, 5),
+        kind=st.sampled_from(["unweighted", "uniform", "counts", "dirichlet", "with_zeros"]),
+        collinear=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_previous_single_fit(self, n, p, kind, collinear, seed):
+        # With ``collinear`` (and p >= 3) the last column is affine in the
+        # second, and both fits must find the design rank deficient.
+        gen = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(n), gen.standard_normal((n, p - 1))])
+        if collinear and p >= 3:
+            x[:, -1] = 2.0 * x[:, 1] + 1.0
+        y = x @ gen.standard_normal(p) + gen.standard_normal(n)
+        weights = {
+            "unweighted": None,
+            "uniform": np.full(n, 0.25),
+            "counts": gen.integers(1, 4, n).astype(float),
+            "dirichlet": gen.dirichlet(np.ones(n)),
+            "with_zeros": np.where(np.arange(n) % 3 == 0, 0.0, gen.exponential(size=n)),
+        }[kind]
+        ref = oracle_fit_linear_weighted(x, y, weights)
+        if ref is None:
+            with pytest.raises(SingularDesignError):
+                fit_linear_weighted(x, y, weights)
+            return
+        fit = fit_linear_weighted(x, y, weights)
+        _assert_close_to_largest(fit.phi, ref.phi, rel=1e-12)
+        assert fit.sigma2 == pytest.approx(ref.sigma2, rel=1e-12, abs=1e-300)
+        _assert_close_to_largest(fit.cov, ref.cov, rel=1e-12)
+        assert fit.n_effective == ref.n_effective
 
 
 def _treatment_plan(n, m, kind, seed):

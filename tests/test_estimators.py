@@ -14,7 +14,6 @@ from drbayes.estimators import (
     ResamplingConfig,
     clever_covariate_regression,
     dr,
-    dr_contrast,
     g_formula_adjusted,
     importance_sampling,
     importance_sampling_dr,
@@ -30,7 +29,7 @@ from drbayes.estimators import (
     two_step_vardecomp,
     _joint_loglik,
 )
-from drbayes.glm import fit_linear_weighted, fit_logistic_weighted, propensity
+from drbayes.glm import clever_covariate, fit_linear_weighted, fit_logistic_weighted, propensity
 from drbayes.numerics import RngStream
 import drbayes.simulation as sim
 from drbayes.simulation import SimConfig, apply_scenario, generate_data, run_replication
@@ -78,6 +77,19 @@ def bootstrap_se(point_fn, data, spec, cfg, rng):
 def _estimator_point(tag, rng):
     """``point_fn`` of a registered estimator: its ``.point`` on a data set."""
     return lambda d, s, c: ESTIMATORS[tag](d, s, c, rng).point
+
+
+def dr_contrast(y, z, e, m_obs, m1, m0, weights):
+    """Doubly robust contrast of one weight vector: inverse-probability-
+    weighted residual term plus model-based standardization term, both
+    averaged with ``weights`` (which should sum to one).
+
+    Returns ``(value, residual_term, model_term)``.
+    """
+    cc = clever_covariate(z, e)
+    residual_term = float(np.sum(weights * (y - m_obs) * cc))
+    model_term = float(np.sum(weights * (m1 - m0)))
+    return residual_term + model_term, residual_term, model_term
 
 
 def _single_draw_fits(data, spec, xi, stabilize):
@@ -514,6 +526,21 @@ class TestJoint:
 
         monkeypatch.setattr(est, "minimize", far_off)
         with pytest.raises(EstimatorError, match="concentrated gradient"):
+            est.joint_estimation(data, spec, CFG, RngStream(3, 0).child(STREAM_KEYS["joint"]))
+
+    def test_singular_point_in_the_search_raises(self, monkeypatch):
+        # With +60 on the intercept every fitted probability clips to the
+        # same value, the cubic columns are exactly zero and the outcome
+        # block is singular.  A search that probes there fails the fit.
+        data, spec, _, _ = self._problem()
+        inner = est.minimize
+
+        def probing(fun, x0, **kwargs):
+            fun(x0 + np.array([60.0, 0.0, 0.0, 0.0]))
+            return inner(fun, x0, **kwargs)
+
+        monkeypatch.setattr(est, "minimize", probing)
+        with pytest.raises(EstimatorError, match=r"gradient\| nan .* the BFGS search$"):
             est.joint_estimation(data, spec, CFG, RngStream(3, 0).child(STREAM_KEYS["joint"]))
 
     def test_analytic_gradients_match_central_differences(self):

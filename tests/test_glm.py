@@ -199,6 +199,25 @@ class TestLinearFit:
             np.testing.assert_allclose(batch.sigma2[k], single.sigma2, atol=1e-10)
             np.testing.assert_allclose(batch.cov[k], single.cov, atol=1e-8)
 
+    def test_single_fit_is_one_batched_row(self):
+        # Weighted and unweighted, the single fit returns the bytes of the
+        # batched kernel's one row; only its rank failure raises.
+        gen = RngStream(16).generator()
+        x = np.column_stack([np.ones(50), gen.standard_normal((50, 3))])
+        y = gen.standard_normal(50)
+        w = gen.random(50) + 0.1
+        for weights, rows in ((None, None), (w, w[None, :])):
+            single = fit_linear_weighted(x, y, weights=weights)
+            batch = fit_linear_weighted_many(x, y, rows)
+            assert batch.ok.shape == (1,) and batch.ok[0]
+            np.testing.assert_array_equal(single.phi, batch.phi[0])
+            assert single.sigma2 == batch.sigma2[0]
+            np.testing.assert_array_equal(single.cov, batch.cov[0])
+        collinear = np.column_stack([x, x[:, 1] - x[:, 2]])
+        assert not fit_linear_weighted_many(collinear, y, w[None, :]).ok[0]
+        with pytest.raises(SingularDesignError):
+            fit_linear_weighted(collinear, y, weights=w)
+
     def test_batch_per_draw_designs(self):
         # Per-draw designs: a shared intercept plus two per-row columns.
         gen = RngStream(15).generator()
@@ -320,7 +339,7 @@ class TestSandwich:
         y, z, s, bdes, ps_fit, outcome_fit, build, jac = _sandwich_instance(300, seed=21)
         x_out = build(ps_fit.gamma)
         var = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, x_out, jac, include_ps_correction=False
+            outcome_fit, ps_fit, y, z, bdes, x_out, np.zeros_like(jac)
         )
         resid = y - x_out @ outcome_fit.phi
         bread = np.linalg.inv(x_out.T @ x_out)
@@ -343,11 +362,9 @@ class TestSandwich:
         outcome_fit = fit_linear_weighted(x_out, y)
         jac = np.zeros((n, 3, 2))
 
-        with_corr = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, x_out, jac, include_ps_correction=True
-        )
+        with_corr = ps_adjusted_treatment_variance(outcome_fit, ps_fit, y, z, bdes, x_out, jac)
         without = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, x_out, jac, include_ps_correction=False
+            outcome_fit, ps_fit, y, z, bdes, x_out, np.zeros_like(jac)
         )
         assert with_corr == pytest.approx(without, abs=1e-8)
 
@@ -457,8 +474,7 @@ class TestSandwich:
             )
             unadj.append(
                 ps_adjusted_treatment_variance(
-                    outcome_fit, ps_fit, data.y, data.z, bdes, x_out, jac,
-                    include_ps_correction=False,
+                    outcome_fit, ps_fit, data.y, data.z, bdes, x_out, np.zeros_like(jac)
                 )
             )
         assert np.mean(adj) < np.mean(unadj)
