@@ -52,7 +52,7 @@ from .glm import (
     propensity,
     ps_adjusted_treatment_variance,
 )
-from .numerics import _psd_factor, expit
+from .numerics import expit
 
 __all__ = [
     "Dataset",
@@ -449,11 +449,11 @@ def _count_plan(data, spec, rng, n_boot):
     return W, E, ok, redraws
 
 
-def _bootstrap_result(method, values, ok, redraws, diag):
+def _bootstrap_result(method, values, ok, redraws, diag, cause="outcome fit is singular"):
     """Result with the uniform row 0 as the point and the spread of the
-    successful count rows as SE."""
+    successful count rows as SE; ``cause`` says why row 0 can fail."""
     if not ok[0]:
-        raise EstimatorError(f"{method}: the full-sample fit is rank deficient")
+        raise EstimatorError(f"{method}: the full-sample {cause}")
     boot_ok = ok[1:]
     n_failed = int((~boot_ok).sum())
     _check_draw_failures(n_failed, boot_ok.shape[0], "bootstrap refits")
@@ -501,7 +501,7 @@ def iptw(data, spec, cfg, rng):
     diag["weight_min"] = float(w.min())
     diag["weight_max"] = float(w.max())
     values, fit_ok = _iptw_rows(data, W, E)
-    return _bootstrap_result("iptw", values, ok & fit_ok, redraws, diag)
+    return _bootstrap_result("iptw", values, ok & fit_ok, redraws, diag, "estimate is not finite")
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +626,7 @@ def clever_covariate_regression(data, spec, cfg, rng):
     values, fit_ok, dropped = _clever_rows(data, spec, W, E)
     if dropped:
         diag["dropped_columns"] = list(dropped)
-    diag["max_abs_clever"] = float(np.max(np.abs(clever_covariate(data.z, E[0]))))
+    diag["max_abs_clever"] = float(_ipw_row_max(data.z, W[:1], E[:1], stabilize=False)[0])
     return _bootstrap_result("clever", values, ok & fit_ok, redraws, diag)
 
 
@@ -672,37 +672,18 @@ def _dirichlet_plan(data, spec, rng, n_draws):
     return xi, batch, e
 
 
-def _batch_cholesky(cov, ok):
-    """Per-draw PSD factors with a per-row fallback; updates ``ok``."""
-    m, p, _ = cov.shape
-    safe = np.where(ok[:, None, None], cov, np.eye(p)[None])
-    try:
-        return np.linalg.cholesky(safe)
-    except np.linalg.LinAlgError:
-        factors = np.empty_like(safe)
-        for k in range(m):
-            if not ok[k]:
-                factors[k] = np.eye(p)
-                continue
-            try:
-                factors[k] = _psd_factor(safe[k])
-            except Exception:
-                ok[k] = False
-                factors[k] = np.eye(p)
-        return factors
-
-
 def _two_step_draws(data, spec, cfg, rng):
     """Weighted-likelihood-bootstrap draws of the treatment model followed by
-    conditional normal draws of the outcome model.
+    a conditional normal draw of the contrast.
 
+    The contrast is the outcome coefficient at ``Z_COL``, so its conditional
+    posterior is the normal marginal with the fit's ``[Z_COL, Z_COL]``
+    variance; it is drawn directly, without factoring the full covariance.
     Returns per-draw arrays (restricted to successful draws): the plug-in
-    treatment contrast, its model-based variance, the contrast under the
-    drawn outcome coefficients, and diagnostics.
+    treatment contrast, its model-based variance, the drawn contrast, and
+    diagnostics.
     """
     m = cfg.n_draws
-    gen_noise = rng.child(_SUB_NOISE).generator()
-
     _, ps_batch, e = _dirichlet_plan(data, spec, rng, m)
     # Per-draw columns: the centered cubic basis of the draw's probabilities.
     d = e - e.mean(axis=1, keepdims=True)
@@ -713,11 +694,8 @@ def _two_step_draws(data, spec, cfg, rng):
 
     contrast_hat = lin_batch.phi[:, Z_COL]
     model_var = lin_batch.cov[:, Z_COL, Z_COL]
-
-    factors = _batch_cholesky(lin_batch.cov, ok)
-    noise = gen_noise.standard_normal(lin_batch.phi.shape)
-    phi_draw = lin_batch.phi + np.matmul(factors, noise[:, :, None])[:, :, 0]
-    contrast_draw = phi_draw[:, Z_COL]
+    noise = rng.child(_SUB_NOISE).generator().standard_normal(m)
+    contrast_draw = contrast_hat + np.sqrt(model_var) * noise
 
     n_failed = int((~ok).sum())
     _check_draw_failures(n_failed, m, "posterior draws")
@@ -731,8 +709,8 @@ def _two_step_draws(data, spec, cfg, rng):
 def two_step_forward(data, spec, cfg, rng):
     """Two-step posterior: forward sampling.  Treatment-model uncertainty by
     weighted likelihood bootstrap, outcome-model uncertainty by a normal
-    draw around the conditional fit; point and standard error are the mean
-    and standard deviation of the sampled contrasts."""
+    draw of the contrast around the conditional fit; point and standard
+    error are the mean and standard deviation of the sampled contrasts."""
     _, _, contrast_draw, diag = _two_step_draws(data, spec, cfg, rng)
     return _result_from_draws("two_step_forward", contrast_draw, diagnostics=diag)
 
@@ -845,8 +823,10 @@ def joint_estimation(data, spec, cfg, rng):
     Hessian, the Schur complement of the outcome block.  Unless the largest
     absolute concentrated gradient is then at most ``JOINT_GTOL``, the fit
     raises :class:`EstimatorError`, as it does when the search meets a
-    singular outcome block.  The draw covariance is the inverse of
-    the analytic Hessian of the profiled joint log-likelihood at that point.
+    singular outcome block.  The contrast is drawn from its normal marginal,
+    whose variance is the ``[Z_COL, Z_COL]`` entry of the inverse of the
+    analytic Hessian of the profiled joint log-likelihood at that point,
+    taken from the Cholesky factor that checks positive definiteness.
     """
     y, z = data.y, data.z
     ps_design, ps_fit, _, _ = _ps_model(data, spec)
@@ -883,7 +863,6 @@ def joint_estimation(data, spec, cfg, rng):
             f"(limit {JOINT_GTOL:g}; nan: singular block or non-finite Newton step) "
             f"after {stage}"
         )
-    theta = np.concatenate([phi, gamma])
 
     info = -hessian
     jitter_used = 0.0
@@ -896,14 +875,10 @@ def joint_estimation(data, spec, cfg, rng):
             continue
     else:
         raise EstimatorError("joint information matrix is not positive definite")
-    identity = np.eye(info.shape[0])
-    low_inv = np.linalg.solve(low, identity)
-    cov = low_inv.T @ low_inv
-
-    gen_noise = rng.child(_SUB_NOISE).generator()
-    factor = _psd_factor(cov)
-    noise = gen_noise.standard_normal((cfg.n_draws, theta.shape[0]))
-    contrast_draws = theta[Z_COL] + noise @ factor.T[:, Z_COL]
+    # The contrast's variance is [info^-1]_ZZ = |low^-1 e_Z|^2.
+    sd = float(np.linalg.norm(np.linalg.solve(low, np.eye(info.shape[0])[:, Z_COL])))
+    noise = rng.child(_SUB_NOISE).generator().standard_normal(cfg.n_draws)
+    contrast_draws = phi[Z_COL] + sd * noise
     diag = {
         "optimizer_evaluations": int(res.nfev),
         "loglik": loglik,

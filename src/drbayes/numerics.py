@@ -1,4 +1,4 @@
-"""Deterministic random streams, the logistic function, and small dense helpers.
+"""Deterministic random streams, the logistic function, and batch-means errors.
 
 Everything in this module is a pure function of its arguments.  Randomness is
 threaded through :class:`RngStream` values rather than shared generator state,
@@ -16,7 +16,6 @@ __all__ = [
     "PROB_CLIP",
     "RngStream",
     "InvalidArgumentError",
-    "DecompositionError",
     "expit",
     "logistic_",
     "batch_means_error",
@@ -30,10 +29,6 @@ PROB_CLIP = 1e-12
 
 class InvalidArgumentError(ValueError):
     """An argument violates a documented precondition."""
-
-
-class DecompositionError(ArithmeticError):
-    """A covariance matrix is indefinite beyond the jitter tolerance."""
 
 
 @dataclass(frozen=True)
@@ -88,28 +83,6 @@ def expit(x):
     out = logistic_(np.array(x, dtype=float))
     np.clip(out, PROB_CLIP, 1.0 - PROB_CLIP, out=out)
     return out[()]
-
-
-def _psd_factor(cov, jitter=1e-10):
-    """Return L with L @ L.T == cov for a symmetric PSD matrix.
-
-    Tries the Cholesky factor first, then falls back to an eigendecomposition
-    that tolerates eigenvalues down to ``-jitter`` (relative), flooring them
-    at zero.  Raises :class:`DecompositionError` for anything more indefinite.
-    """
-    cov = np.asarray(cov, dtype=float)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    sym = 0.5 * (cov + cov.T)
-    eigval, eigvec = np.linalg.eigh(sym)
-    scale = max(1.0, float(eigval.max(initial=0.0)))
-    if eigval.min(initial=0.0) < -jitter * scale:
-        raise DecompositionError(
-            f"covariance is not PSD within tolerance (min eigenvalue {eigval.min():.3e})"
-        )
-    return eigvec * np.sqrt(np.clip(eigval, 0.0, None))
 
 
 def batch_means_error(values, num_batches):

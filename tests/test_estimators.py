@@ -378,6 +378,17 @@ class TestTwoStep:
         res = two_step_vardecomp(data, spec, CFG, RngStream(14, 0))
         assert res.se**2 >= res.diagnostics["mean_model_variance"]
 
+    def test_forward_se_matches_vardecomp_se(self):
+        # Each forward draw is normal around its plug-in contrast with the
+        # model variance, so by the law of total variance the spread of many
+        # draws estimates the variance-decomposition SE.
+        data, spec = _sim_data(n=200, seed=33)
+        cfg = ResamplingConfig(n_draws=4000, n_boot=2)
+        rng = RngStream(33, 0).child(STREAM_KEYS["two_step_forward"])
+        fwd, vd = two_step_pair(data, spec, cfg, rng)
+        assert fwd.diagnostics["draw_failures"] == 0
+        assert fwd.se == pytest.approx(vd.se, rel=0.1)
+
 
 class TestBorderedOutcomeFits:
     """The batched outcome fits, built from a shared design plus per-row
@@ -405,6 +416,10 @@ class TestBorderedOutcomeFits:
             correction = W[k] @ (1.0 / E[k] + 1.0 / (1.0 - E[k])) / W[k].sum()
             oracle = single.phi[est.Z_COL] + single.phi[-1] * correction
             assert values[k] == pytest.approx(oracle, rel=1e-10)
+        # The largest |clever covariate| is the largest unstabilized weight.
+        res = clever_covariate_regression(data, spec, CFG, rng)
+        vector_form = np.max(np.abs(clever_covariate(data.z, E[0])))
+        assert res.diagnostics["max_abs_clever"] == vector_form
 
     @pytest.mark.parametrize("stabilize", [True, False])
     def test_is_dr_weight_max_equals_matrix_form(self, stabilize):
@@ -568,6 +583,15 @@ class TestJoint:
         )
         assert np.abs(hess - fd).max() <= 1e-4 * np.abs(fd).max()
 
+    def test_draw_sd_matches_inverse_information(self):
+        data, spec, p_phi, loglik = self._problem()
+        cfg = ResamplingConfig(n_draws=4000, n_boot=2)
+        res = est.joint_estimation(data, spec, cfg, RngStream(3, 0).child(STREAM_KEYS["joint"]))
+        hess = loglik(np.array(res.diagnostics["ps_coef"]), hessian=True)[3]
+        assert res.diagnostics["hessian_jitter"] == 0.0
+        target = np.sqrt(np.linalg.inv(-hess)[est.Z_COL, est.Z_COL])
+        assert res.se == pytest.approx(target, rel=0.1)
+
     def test_recovers_where_fd_hessian_was_indefinite(self):
         # Chunk 8 of the benchmark's desk_n500 seed 4, replication 4: the
         # 289-point finite-difference Hessian was too noisy to factor here
@@ -643,6 +667,24 @@ class TestBootstrapSe:
 
         with pytest.raises(DrawFailureError):
             bootstrap_se(flaky, data, spec, ResamplingConfig(2, 20), RngStream(21, 0))
+
+    @pytest.mark.parametrize("tag", ["iptw", "dr", "clever", "or_iptw"])
+    def test_failed_full_sample_row_names_its_cause(self, tag, monkeypatch):
+        # A duplicated outcome covariate makes every plain outcome fit
+        # singular; iptw has no outcome fit, so its row 0 is made non-finite.
+        data, _ = _sim_data(n=120, seed=22)
+        spec = CovariateSpec(s_columns=((0, est.IDENTITY),) * 2, b_columns=((0, est.IDENTITY),))
+        inner = est._iptw_rows
+
+        def nan_row0(data, W, E):
+            values, _ = inner(data, W, E)
+            values[0] = np.nan
+            return values, np.isfinite(values)
+
+        monkeypatch.setattr(est, "_iptw_rows", nan_row0)
+        cause = "estimate is not finite" if tag == "iptw" else "outcome fit is singular"
+        with pytest.raises(EstimatorError, match=f"^{tag}: the full-sample {cause}$"):
+            ESTIMATORS[tag](data, spec, CFG, RngStream(22, 0).child(STREAM_KEYS[tag]))
 
 
 class TestRelabelInvariance:

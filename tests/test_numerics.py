@@ -7,10 +7,8 @@ from scipy.special import expit as scipy_expit
 from drbayes.estimators import _dirichlet_rows
 from drbayes.numerics import (
     PROB_CLIP,
-    DecompositionError,
     InvalidArgumentError,
     RngStream,
-    _psd_factor,
     batch_means_error,
     expit,
     logistic_,
@@ -20,13 +18,6 @@ from drbayes.numerics import (
 def sample_dirichlet(n, rng):
     """One flat-Dirichlet row as the Bayesian-bootstrap plan draws it."""
     return _dirichlet_rows(rng.generator() if isinstance(rng, RngStream) else rng, 1, n)[0]
-
-
-def sample_mvn(mean, cov, rng):
-    """One normal draw through the PSD factor the posterior samplers use."""
-    mean = np.asarray(mean, dtype=float)
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
-    return mean + _psd_factor(cov) @ gen.standard_normal(mean.shape[0])
 
 
 class TestRngStream:
@@ -158,34 +149,6 @@ class TestSampleDirichlet:
         np.testing.assert_allclose(samples.mean(axis=0), 0.25, atol=0.005)
         target_var = (1 / n) * (1 - 1 / n) / (n + 1)
         assert np.all(np.abs(samples.var(axis=0) - target_var) < 0.1 * target_var)
-
-
-class TestSampleMvn:
-    """Normal draws through ``numerics._psd_factor``."""
-
-    def test_degenerate_covariance(self):
-        np.testing.assert_array_equal(
-            sample_mvn([3.0], [[0.0]], RngStream(2)), [3.0]
-        )
-
-    def test_identity_covariance_moments(self):
-        gen = RngStream(15).generator()
-        mean = np.array([1.0, -2.0])
-        cov = np.eye(2)
-        draws = np.vstack([sample_mvn(mean, cov, gen) for _ in range(100_000)])
-        np.testing.assert_allclose(np.cov(draws.T), cov, atol=0.02)
-        # mean recovery within 4 standard errors
-        se = 1.0 / np.sqrt(draws.shape[0])
-        assert np.all(np.abs(draws.mean(axis=0) - mean) < 4 * se)
-
-    def test_indefinite_covariance_rejected(self):
-        with pytest.raises(DecompositionError):
-            sample_mvn([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]], RngStream(3))
-
-    def test_psd_but_singular_accepted(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        draw = sample_mvn([0.0, 0.0], cov, RngStream(4))
-        assert draw[0] == pytest.approx(draw[1], abs=1e-12)
 
 
 class TestBatchMeansError:
