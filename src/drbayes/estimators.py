@@ -434,19 +434,22 @@ def _treatment_refits(data, spec, W):
 @_per_dataset
 def _count_plan(data, spec, rng, n_boot):
     """Bootstrap plan shared by ``iptw``, ``dr``, ``clever`` and ``or_iptw``:
-    ``(W, E, ok, redraws)``.  Row 0 of ``W`` is uniform and carries the
+    ``(W, E, H, ok, redraws)``.  Row 0 of ``W`` is uniform and carries the
     full-sample treatment fit; rows 1.. are a count matrix drawn from
     ``rng``, each with its own treatment refit.  ``E`` holds the clamped
-    fitted probabilities and ``ok`` whether each row's treatment fit
-    converged (row 0 always: a finite full-sample fit is kept, flagged)."""
+    fitted probabilities, ``H`` their clever covariate
+    ``z/E - (1-z)/(1-E)`` (read by ``dr`` and ``clever``), and ``ok``
+    whether each row's treatment fit converged (row 0 always: a finite
+    full-sample fit is kept, flagged)."""
     _, _, e, _ = _ps_model(data, spec)
     counts, redraws = _bootstrap_counts(data.z, n_boot, rng.child(_SUB_WEIGHTS).generator())
     batch, e_b = _treatment_refits(data, spec, counts)
     W = np.vstack([np.ones(data.n), counts])
     E = _clamp_ps(np.vstack([e, e_b]))
+    H = clever_covariate(data.z, E)
     ok = np.concatenate([[True], batch.converged])
-    _freeze(W, E, ok)
-    return W, E, ok, redraws
+    _freeze(W, E, H, ok)
+    return W, E, H, ok, redraws
 
 
 def _bootstrap_result(method, values, ok, redraws, diag, cause="outcome fit is singular"):
@@ -496,7 +499,7 @@ def iptw(data, spec, cfg, rng):
     """Inverse probability of treatment weighting with unstabilized weights;
     bootstrap standard error refitting the treatment model per resample."""
     diag = _ps_fit(data, spec)[3]
-    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    W, E, _, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
     w = _ipw_rows(data.z, W[:1], E[:1], stabilize=False)
     diag["weight_min"] = float(w.min())
     diag["weight_max"] = float(w.max())
@@ -575,16 +578,17 @@ def or_ps_sandwich(data, spec, cfg=None, rng=None):
 # doubly robust estimators
 
 
-def _dr_rows(data, spec, W, E):
+def _dr_rows(data, spec, W, H):
     """Doubly robust contrast per row of ``W``: the weighted
-    inverse-probability residual term plus the treatment coefficient of the
-    ``W``-weighted plain outcome fit (its standardization term).  Returns
+    inverse-probability residual term, with ``H`` the rows' clever
+    covariates, plus the treatment coefficient of the ``W``-weighted plain
+    outcome fit (its standardization term).  Returns
     ``(values, ok, residual_terms)``."""
-    y, z = data.y, data.z
+    y = data.y
     design = plain_outcome_design(data, spec).values
     lin = fit_linear_weighted_many(design, y, W)
     m_obs = lin.phi @ design.T
-    residual = np.sum(W * (y - m_obs) * clever_covariate(z, E), axis=1) / W.sum(axis=1)
+    residual = np.sum(W * (y - m_obs) * H, axis=1) / W.sum(axis=1)
     return residual + lin.phi[:, Z_COL], lin.ok, residual
 
 
@@ -593,23 +597,23 @@ def dr(data, spec, cfg, rng):
     b-columns, outcome model on the s-columns, residual reweighting plus
     standardization; bootstrap standard error refitting both models."""
     diag = _ps_fit(data, spec)[3]
-    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
-    values, fit_ok, residual = _dr_rows(data, spec, W, E)
+    W, _, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    values, fit_ok, residual = _dr_rows(data, spec, W, H)
     diag["residual_term"] = float(residual[0])
     diag["model_term"] = float(values[0] - residual[0])
     return _bootstrap_result("dr", values, ok & fit_ok, redraws, diag)
 
 
-def _clever_rows(data, spec, W, E):
+def _clever_rows(data, spec, W, E, H):
     """Clever-covariate regression per row of ``W``: the weighted fit of the
     plain outcome design plus the row's derived regressor
-    ``z/E - (1-z)/(1-E)``, standardized over the weighted sample, where the
+    ``H = z/E - (1-z)/(1-E)``, standardized over the weighted sample, where the
     regressor's between-arm difference is ``1/E + 1/(1-E)``.  When the
     regressor is collinear in the full-sample row 0 it is dropped from every
     row.  Returns ``(values, ok, dropped_columns)``."""
-    y, z = data.y, data.z
+    y = data.y
     base = plain_outcome_design(data, spec).values
-    lin = fit_linear_weighted_many(base, y, W, extra=(clever_covariate(z, E),))
+    lin = fit_linear_weighted_many(base, y, W, extra=(H,))
     if not lin.ok[0]:
         lin = fit_linear_weighted_many(base, y, W)
         return lin.phi[:, Z_COL], lin.ok, ("clever",)
@@ -622,8 +626,8 @@ def clever_covariate_regression(data, spec, cfg, rng):
     regressor, standardized over the sample; identical to the doubly robust
     estimator with this outcome model.  Bootstrap standard error."""
     diag = _ps_fit(data, spec)[3]
-    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
-    values, fit_ok, dropped = _clever_rows(data, spec, W, E)
+    W, E, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    values, fit_ok, dropped = _clever_rows(data, spec, W, E, H)
     if dropped:
         diag["dropped_columns"] = list(dropped)
     diag["max_abs_clever"] = float(_ipw_row_max(data.z, W[:1], E[:1], stabilize=False)[0])
@@ -644,7 +648,7 @@ def or_iptw(data, spec, cfg, rng):
     standardized over the empirical covariate distribution; bootstrap
     standard error refitting both models."""
     diag = _ps_fit(data, spec)[3]
-    W, E, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    W, E, _, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
     values, fit_ok, w = _or_iptw_rows(data, spec, W, E, cfg.stabilize)
     diag["weight_min"] = float(w[0].min())
     diag["weight_max"] = float(w[0].max())
@@ -656,8 +660,10 @@ def or_iptw(data, spec, cfg, rng):
 
 
 def _dirichlet_rows(gen, m, n):
-    g = np.maximum(gen.standard_exponential((m, n)), 1e-300)
-    return g / g.sum(axis=1, keepdims=True)
+    g = gen.standard_exponential((m, n))
+    np.maximum(g, 1e-300, out=g)
+    g /= g.sum(axis=1, keepdims=True)
+    return g
 
 
 @_per_dataset
@@ -925,7 +931,7 @@ def importance_sampling_dr(data, spec, cfg, rng):
     Dirichlet rows)."""
     xi, batch, e = _dirichlet_plan(data, spec, rng, cfg.n_draws)
     E = _clamp_ps(e)
-    values, fit_ok, residual = _dr_rows(data, spec, xi, E)
+    values, fit_ok, residual = _dr_rows(data, spec, xi, clever_covariate(data.z, E))
     ok = batch.converged & fit_ok
     diag = _draw_diagnostics(ok, _ipw_row_max(data.z, xi, E, cfg.stabilize), batch)
     diag["mean_abs_residual_term"] = float(np.mean(np.abs(residual[ok])))

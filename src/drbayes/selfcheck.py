@@ -77,7 +77,7 @@ def check_uniform_weights_match_dr():
     """Flat-weight doubly robust draw equals the frequentist DR estimator."""
     data, spec = _fixture_data()
     flat, e = _flat_row(data, spec)
-    bayes = float(est._dr_rows(data, spec, flat, e)[0][0])
+    bayes = float(est._dr_rows(data, spec, flat, clever_covariate(data.z, e))[0][0])
     frequentist = _point("dr", data, spec)
     residual = abs(bayes - frequentist)
     return CheckResult(
@@ -195,7 +195,7 @@ def check_saturated_ps_reduces_to_weighted_mean():
     data = _discrete_instance(16, seed=511)
     spec = CovariateSpec(s_columns=((0, est.IDENTITY),), b_columns=((0, est.IDENTITY),))
     flat, e_fit = _flat_row(data, spec)
-    value = float(est._dr_rows(data, spec, flat, e_fit)[0][0])
+    value = float(est._dr_rows(data, spec, flat, clever_covariate(data.z, e_fit))[0][0])
     xi = flat[0]
     # Brute-force oracle: within-cell treated fractions give the fitted
     # probabilities of the saturated logistic fit.

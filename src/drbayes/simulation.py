@@ -20,6 +20,8 @@ without changing a single byte of the output.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -282,6 +284,37 @@ def summarize(records, estimators=None, truth=TRUE_CONTRAST) -> list:
     return rows
 
 
+# glibc mallopt parameters: blocks at least this large are mmap-ed (32 MiB is
+# glibc's 64-bit ceiling), and free heap above this much is trimmed.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 1 << 30
+
+
+@functools.cache
+def _keep_freed_heap() -> bool:
+    """Keep freed memory in this process for reuse, once per process.
+
+    Every replication allocates and drops a dozen or more (draws x n) weight
+    arrays; by default glibc returns each one to the kernel, and the next is
+    page-faulted in afresh.  Raising both the mmap and the trim threshold
+    (setting either alone turns off glibc's adaptive threshold and faults
+    more) serves them from the retained heap instead.  Returns whether the
+    setting took; where ``mallopt`` is missing or refuses, nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+        and mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+    )
+
+
 def _replication_worker(args):
     config, rep_index = args
     return run_replication(config, rep_index)
@@ -292,12 +325,21 @@ def run_simulation(config: SimConfig) -> SimulationResult:
 
     Replications are mutually independent and keyed by their index, so the
     ordered concatenation of results is identical for any worker count.
+
+    On glibc, this process and every worker keep freed memory for reuse
+    instead of returning it to the kernel: the setting is process-wide and
+    lasts after the call, and resident memory stays at its high-water mark
+    rather than shrinking between replications.  Outputs are unchanged; on
+    other C libraries nothing changes.
     """
     start = time.perf_counter()
+    _keep_freed_heap()
     if config.threads > 1:
         jobs = [(config, r) for r in range(config.reps)]
         chunk = max(1, config.reps // (8 * config.threads))
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(
+            max_workers=config.threads, initializer=_keep_freed_heap
+        ) as pool:
             per_rep = list(pool.map(_replication_worker, jobs, chunksize=chunk))
     else:
         per_rep = [run_replication(config, r) for r in range(config.reps)]

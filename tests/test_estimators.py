@@ -408,8 +408,9 @@ class TestBorderedOutcomeFits:
     def test_clever_rows_match_single_fits(self):
         data, spec = _sim_data(n=500, seed=31)
         rng = RngStream(31, 0).child(STREAM_KEYS["clever"])
-        W, E, _, _ = est._count_plan(data, spec, rng, CFG.n_boot)
-        values, ok, dropped = est._clever_rows(data, spec, W, E)
+        W, E, H, _, _ = est._count_plan(data, spec, rng, CFG.n_boot)
+        np.testing.assert_array_equal(H, clever_covariate(data.z, E))
+        values, ok, dropped = est._clever_rows(data, spec, W, E, H)
         assert ok.all() and dropped == ()
         for k in range(W.shape[0]):
             single = fit_linear_weighted(clever_outcome_design(data, spec, E[k]), data.y, W[k])
@@ -420,6 +421,12 @@ class TestBorderedOutcomeFits:
         res = clever_covariate_regression(data, spec, CFG, rng)
         vector_form = np.max(np.abs(clever_covariate(data.z, E[0])))
         assert res.diagnostics["max_abs_clever"] == vector_form
+        # dr and clever read the plan's one covariate matrix; their results
+        # equal those of rows fed a covariate computed apart, byte for byte.
+        assert (res.point, res.se) == (values[0], np.std(values[1:], ddof=1))
+        dr_values = est._dr_rows(data, spec, W, clever_covariate(data.z, E))[0]
+        res_dr = dr(data, spec, CFG, rng)
+        assert (res_dr.point, res_dr.se) == (dr_values[0], np.std(dr_values[1:], ddof=1))
 
     @pytest.mark.parametrize("stabilize", [True, False])
     def test_is_dr_weight_max_equals_matrix_form(self, stabilize):
@@ -863,9 +870,9 @@ class TestSharedPlan:
         data, spec = _sim_data(n=100, seed=25)
         rng = RngStream(25, 0).child(STREAM_KEYS["iptw"])
         _, fit, e, diag = est._ps_fit(data, spec)
-        W, E, ok, _ = est._count_plan(data, spec, rng, 20)
+        W, E, H, ok, _ = est._count_plan(data, spec, rng, 20)
         xi, dirichlet_batch, e_d = est._dirichlet_plan(data, spec, rng, 20)
-        for values in (fit.gamma, e, W, E, ok, xi, dirichlet_batch.gamma, e_d):
+        for values in (fit.gamma, e, W, E, H, ok, xi, dirichlet_batch.gamma, e_d):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
         diag["extra"] = 1.0  # each caller extends its own copy

@@ -1,7 +1,10 @@
 import math
+import resource
 
 import numpy as np
 import pytest
+
+from drbayes import simulation
 
 from drbayes.estimators import ABS_STANDARDIZED, ABS_STD_SCALE, IDENTITY
 from drbayes.numerics import RngStream, expit
@@ -224,6 +227,21 @@ class TestRunSimulation:
         assert serial.records == parallel.records
         for a, b in zip(serial.rows, parallel.rows):
             assert a == b
+
+    def test_weight_matrices_reuse_retained_heap(self):
+        # At n=5000 each (50, n) weight array is 489 pages; when freed heap
+        # goes back to the kernel every replication faults thousands of
+        # them in again (about 8300 per replication with glibc's defaults).
+        if not simulation._keep_freed_heap():
+            pytest.skip("mallopt is not available")
+        config = SimConfig(
+            n=5000, reps=3, seed=91, estimators=("is", "is_dr"), n_draws=50, n_boot=2
+        )
+        run_simulation(config)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        run_simulation(config)
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+        assert faults / config.reps < 1000
 
     def test_estimator_filtering(self):
         result = run_simulation(_fast_config(estimators=("naive", "dr")))
