@@ -755,62 +755,117 @@ def two_step_pair(data, spec, cfg, rng):
 # joint estimation
 
 
-def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
-    """Profiled joint log-likelihood of the outcome and treatment models,
-    with its analytic derivatives.
+def _joint_objective(y, z, base, bvals):
+    """Profiled joint log-likelihood of the outcome and treatment models, as
+    a function ``loglik(gamma, phi=None, hessian=False)`` with analytic
+    derivatives.
 
-    The outcome design is ``base`` plus the centered cubic basis of
+    The outcome design is ``base`` plus the centered cubic basis ``C`` of
     ``e = expit(bvals @ gamma)``, and the Gaussian variance is profiled out.
     With ``phi=None`` the outcome coefficients are solved by least squares,
     which gives the concentrated log-likelihood in ``gamma``; by the envelope
-    theorem its gradient is the ``gamma`` block of the full gradient.
+    theorem its gradient is the ``gamma`` block of the full gradient.  The
+    ``phi`` block is then zero by the normal equations, and it is returned
+    as zeros unless the Hessian is asked for.
 
-    Returns ``(value, grad, phi, hess)``: the gradient over
+    Only ``C`` moves with ``gamma`` (the variable-projection structure of
+    Golub & Pereyra, 1973), so ``base'base`` and ``base'y`` are formed once,
+    here.  Each evaluation writes ``C`` into a row-major buffer that holds
+    ``y`` and ``base'``, takes ``C'y``, ``C'base`` and ``C'C`` from one
+    product with it, solves the bordered normal equations, and forms the
+    residuals from one more product.  The Hessian contracts the (3, n)
+    powers and (q, n) factors of the basis Jacobian; the (n, 3, q) array is
+    never built.
+
+    ``loglik`` returns ``(value, grad, phi, hess)``: the gradient over
     ``theta = (phi, gamma)`` and, when ``hessian`` is set, the Hessian over
     ``theta`` (otherwise ``None``).
     """
     n, p_base = base.shape
     p_phi = p_base + 3
-    e = expit(bvals @ gamma)
-    d = e - e.mean()
-    design = np.column_stack([base, cubic_ps_basis(e)])
-    if phi is None:
-        phi = np.linalg.solve(design.T @ design, design.T @ y)
-    resid = y - design @ phi
-    s2 = max(float(resid @ resid) / n, 1e-300)
-    value = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0) + float(
-        z @ np.log(e) + (1.0 - z) @ np.log1p(-e)
-    )
-    # Row i of design @ phi moves with gamma by g_i dd_i, where dd = v B -
-    # mean(v B) is the derivative of d; so sum_i r_i g_i dd_i is
-    # B' (v (rg - mean(rg))).
-    g = phi[p_base] + d * (2.0 * phi[p_base + 1] + 3.0 * phi[p_base + 2] * d)
-    v = e * (1.0 - e)
-    rg = resid * g
-    score = np.concatenate([design.T @ resid, bvals.T @ (v * (rg - rg.mean()))])
-    grad = score / s2
-    grad[p_phi:] += bvals.T @ (z - e)
-    if not hessian:
-        return value, grad, phi, None
+    q = bvals.shape[1]
+    # Rows: y, the base columns, the cubic columns and, for the Hessian, the
+    # q columns of d(design @ phi) / d gamma.  One buffer per fit, rewritten
+    # by each evaluation.
+    rows = np.empty((1 + p_phi + q, n))
+    rows[0] = y
+    rows[1 : 1 + p_base] = base.T
+    cubic = rows[1 + p_base : 1 + p_phi]
+    bt = np.ascontiguousarray(bvals.T)
+    gram = np.empty((p_phi, p_phi))
+    gram[:p_base, :p_base] = base.T @ base
+    rhs = np.empty(p_phi)
+    rhs[:p_base] = y @ base
+    coef = np.empty(1 + p_phi)
+    coef[0] = 1.0
+    untreated = 1.0 - z
 
-    # The Gaussian term -n/2 log(RSS) has Hessian
-    # 2 score score' / (n s2^2) - sum_i (dr_i dr_i' + r_i d2r_i) / s2
-    # for the residuals r = y - design @ phi.
-    basis_jac = cubic_ps_basis_jacobian(bvals, e)
-    dd = basis_jac[:, 0]
-    jr = np.column_stack([design, dd * g[:, None]])
-    curv = jr.T @ jr
-    cross = -np.einsum("i,ikj->kj", resid, basis_jac)
-    curv[p_base:p_phi, p_phi:] += cross
-    curv[p_phi:, p_base:p_phi] += cross.T
-    dg = 2.0 * phi[p_base + 1] + 6.0 * phi[p_base + 2] * d
-    curv[p_phi:, p_phi:] -= (dd * (resid * dg)[:, None]).T @ dd
-    hess = 2.0 * np.outer(score, score) / (n * s2 * s2) - curv / s2
-    # The curvature of dd itself, d(v B)/d gamma with dv/d eta = v (1 - 2e),
-    # and the Bernoulli information B' diag(v) B.
-    w = (rg - rg.mean()) * v * (1.0 - 2.0 * e) / s2 - v
-    hess[p_phi:, p_phi:] += (bvals * w[:, None]).T @ bvals
-    return value, grad, phi, hess
+    def loglik(gamma, phi=None, hessian=False):
+        e = expit(gamma @ bt)
+        d = e - e.mean()
+        cubic[0] = d
+        np.multiply(d, d, out=cubic[1])
+        np.multiply(cubic[1], d, out=cubic[2])
+        concentrated = phi is None
+        if concentrated:
+            moments = cubic @ rows[: 1 + p_phi].T  # C'y | C'base | C'C
+            rhs[p_base:] = moments[:, 0]
+            gram[p_base:] = moments[:, 1:]
+            gram[:p_base, p_base:] = moments[:, 1 : 1 + p_base].T
+            phi = np.linalg.solve(gram, rhs)
+        np.negative(phi, out=coef[1:])
+        resid = coef @ rows[: 1 + p_phi]  # y - design @ phi
+        s2 = max(float(resid @ resid) / n, 1e-300)
+        value = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0) + float(
+            z @ np.log(e) + untreated @ np.log1p(-e)
+        )
+        # Row i of design @ phi moves with gamma by g_i dd_i, where dd = v B -
+        # mean(v B) is the derivative of d; so sum_i r_i g_i dd_i is
+        # B' (v (rg - mean(rg))).
+        g = phi[p_base] + d * (2.0 * phi[p_base + 1] + 3.0 * phi[p_base + 2] * d)
+        v = e * (1.0 - e)
+        rg = resid * g
+        u = v * (rg - rg.mean())
+        grad = np.zeros(p_phi + q)
+        grad[p_phi:] = bt @ (u / s2 + (z - e))
+        if concentrated and not hessian:
+            return value, grad, phi, None
+        score = np.concatenate([rows[1 : 1 + p_phi] @ resid, bt @ u])
+        grad[:p_phi] = score[:p_phi] / s2
+        if not hessian:
+            return value, grad, phi, None
+
+        # The Gaussian term -n/2 log(RSS) has Hessian
+        # 2 score score' / (n s2^2) - sum_i (dr_i dr_i' + r_i d2r_i) / s2
+        # for the residuals r = y - design @ phi.  Column j of the basis
+        # Jacobian is powers_j dd with powers = (1, 2d, 3d^2).
+        dd = bt * v
+        dd -= dd.mean(axis=1, keepdims=True)
+        np.multiply(dd, g, out=rows[1 + p_phi :])
+        jr = rows[1:]
+        curv = jr @ jr.T
+        weighted = np.empty((3, n))
+        weighted[0] = resid
+        np.multiply(cubic[0], 2.0 * resid, out=weighted[1])
+        np.multiply(cubic[1], 3.0 * resid, out=weighted[2])
+        cross = -(weighted @ dd.T)
+        curv[p_base:p_phi, p_phi:] += cross
+        curv[p_phi:, p_base:p_phi] += cross.T
+        dg = 2.0 * phi[p_base + 1] + 6.0 * phi[p_base + 2] * d
+        curv[p_phi:, p_phi:] -= (dd * (resid * dg)) @ dd.T
+        hess = 2.0 * np.outer(score, score) / (n * s2 * s2) - curv / s2
+        # The curvature of dd itself, d(v B)/d gamma with dv/d eta = v (1 - 2e),
+        # and the Bernoulli information B' diag(v) B.
+        w = u * (1.0 - 2.0 * e) / s2 - v
+        hess[p_phi:, p_phi:] += (bt * w) @ bt.T
+        return value, grad, phi, hess
+
+    return loglik
+
+
+def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
+    """One evaluation of :func:`_joint_objective` at ``gamma``."""
+    return _joint_objective(y, z, base, bvals)(gamma, phi, hessian)
 
 
 JOINT_GTOL = 1e-6
@@ -824,7 +879,10 @@ def joint_estimation(data, spec, cfg, rng):
 
     The outcome block is closed-form least squares given the treatment
     coefficients, so it is concentrated out; the Gaussian variance is
-    profiled throughout.  One BFGS search from the treatment-only fit
+    profiled throughout.  The moments of the fixed outcome columns are
+    formed once per fit (:func:`_joint_objective`): each evaluation borders
+    them with the three cubic columns, and each Hessian is built without the
+    (n, 3, q) basis Jacobian.  One BFGS search from the treatment-only fit
     (``gtol=1e-3``) is polished by one Newton step on the exact concentrated
     Hessian, the Schur complement of the outcome block.  Unless the largest
     absolute concentrated gradient is then at most ``JOINT_GTOL``, the fit
@@ -839,9 +897,10 @@ def joint_estimation(data, spec, cfg, rng):
     bvals = ps_design.values
     base = plain_outcome_design(data, spec).values
     p_phi = base.shape[1] + 3
+    loglik = _joint_objective(y, z, base, bvals)
 
     def neg_concentrated(gamma):
-        value, grad, _, _ = _joint_loglik(y, z, base, bvals, gamma)
+        value, grad, _, _ = loglik(gamma)
         return -value, -grad[p_phi:]
 
     options = {"gtol": 1e-3, "maxiter": 200}
@@ -852,14 +911,14 @@ def joint_estimation(data, spec, cfg, rng):
     try:
         res = minimize(neg_concentrated, ps_fit.gamma, jac=True, method="BFGS", options=options)
         stage = f"{res.nfev} BFGS evaluations and one Newton step"
-        _, grad, _, hessian = _joint_loglik(y, z, base, bvals, res.x, hessian=True)
+        _, grad, _, hessian = loglik(res.x, hessian=True)
         cross = hessian[:p_phi, p_phi:]
         concentrated = hessian[p_phi:, p_phi:] - cross.T @ np.linalg.solve(
             hessian[:p_phi, :p_phi], cross
         )
         gamma = res.x - np.linalg.solve(concentrated, grad[p_phi:])
         if np.all(np.isfinite(gamma)):
-            loglik, grad, phi, hessian = _joint_loglik(y, z, base, bvals, gamma, hessian=True)
+            value, grad, phi, hessian = loglik(gamma, hessian=True)
             gmax = float(np.max(np.abs(grad[p_phi:])))
     except np.linalg.LinAlgError:
         pass
@@ -887,7 +946,7 @@ def joint_estimation(data, spec, cfg, rng):
     contrast_draws = phi[Z_COL] + sd * noise
     diag = {
         "optimizer_evaluations": int(res.nfev),
-        "loglik": loglik,
+        "loglik": value,
         "hessian_jitter": jitter_used,
         "ps_coef": tuple(float(g) for g in gamma),
     }

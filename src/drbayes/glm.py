@@ -19,7 +19,7 @@ same rank rule, as every batched row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import qr
@@ -393,14 +393,48 @@ def fit_linear_weighted(x, y, weights=None):
     )
 
 
-@dataclass
 class BatchLinear:
-    """Row-batched WLS fits."""
+    """Row-batched WLS fits.
 
-    phi: np.ndarray  # (m, p)
-    sigma2: np.ndarray  # (m,)
-    cov: np.ndarray  # (m, p, p)
-    ok: np.ndarray  # (m,) bool
+    ``phi`` (m, p) and ``ok`` (m,) are computed with the fit.  ``sigma2``
+    (m,) and ``cov`` (m, p, p) cost a residual pass and a batched inverse
+    that most callers never read, so each is computed on first read, from
+    the fit's inputs, which must not be modified before then.
+    """
+
+    def __init__(self, phi, ok, x, y, wnorm, cols, gram):
+        self.phi = phi
+        self.ok = ok
+        self._inputs = (x, y, wnorm, cols)
+        self._gram = gram
+
+    @cached_property
+    def sigma2(self):
+        xv, y, wnorm, cols = self._inputs
+        p0 = xv.shape[1]
+        resid = self.phi[:, :p0] @ xv.T
+        for j, c in enumerate(cols, start=p0):
+            resid += self.phi[:, j, None] * c
+        # Weighted squared residuals, in place in one buffer.
+        np.subtract(y, resid, out=resid)
+        resid *= resid
+        if wnorm is not None:
+            resid *= wnorm
+        return resid.sum(axis=1) / xv.shape[0]
+
+    @cached_property
+    def cov(self):
+        a = self._gram
+        try:
+            a_inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:
+            a_inv = np.empty_like(a)
+            for k in range(a.shape[0]):
+                try:
+                    a_inv[k] = np.linalg.inv(a[k])
+                except np.linalg.LinAlgError:
+                    a_inv[k] = np.nan
+        return self.sigma2[:, None, None] * a_inv
 
 
 def fit_linear_weighted_many(x, y, weights=None, extra=()):
@@ -415,6 +449,11 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
     when unweighted), the cross blocks ``(W C_j) @ x`` and a k x k corner of
     row sums, so no (m, n, p0 + k) design is built.  Singular rows are
     flagged in ``ok`` instead of raising.
+
+    Only the coefficients and ``ok`` are computed here.  The returned
+    :class:`BatchLinear` keeps the Gram matrices and the inputs, and forms
+    ``sigma2`` (a residual pass) and ``cov`` (a batched inverse) when they
+    are first read.
     """
     xv = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -440,35 +479,21 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
         for i, c in enumerate(cols[j - p0 :], start=j):
             a[:, i, j] = a[:, j, i] = np.einsum("ri,ri->r", wc, c)
 
-    phi = np.empty((m, p))
     ok = _gram_rows_well_posed(a)
-    a_solvable = a if ok.all() else np.where(ok[:, None, None], a, np.eye(p)[None])
+    if not ok.all():
+        a = np.where(ok[:, None, None], a, np.eye(p)[None])
     try:
-        phi = np.linalg.solve(a_solvable, b[:, :, None])[:, :, 0]
-        a_inv = np.linalg.inv(a_solvable)
+        phi = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
-        a_inv = np.empty((m, p, p))
+        phi = np.empty((m, p))
         for k in range(m):
             try:
-                phi[k] = np.linalg.solve(a_solvable[k], b[k])
-                a_inv[k] = np.linalg.inv(a_solvable[k])
+                phi[k] = np.linalg.solve(a[k], b[k])
             except np.linalg.LinAlgError:
                 ok[k] = False
-                phi[k] = np.nan
-                a_inv[k] = np.nan
     phi[~ok] = np.nan
-    resid = phi[:, :p0] @ xv.T
-    for j, c in enumerate(cols, start=p0):
-        resid += phi[:, j, None] * c
-    # Weighted squared residuals, in place in one buffer.
-    np.subtract(y, resid, out=resid)
-    resid *= resid
-    if wnorm is not None:
-        resid *= wnorm
-    sigma2 = resid.sum(axis=1) / n
-    cov = sigma2[:, None, None] * a_inv
     ok &= np.all(np.isfinite(phi), axis=1)
-    return BatchLinear(phi=phi, sigma2=sigma2, cov=cov, ok=ok)
+    return BatchLinear(phi, ok, xv, y, wnorm, cols, a)
 
 
 def propensity(fit, design):

@@ -22,6 +22,7 @@ from drbayes.glm import (
     FittedLinear,
     NonConvergenceError,
     SingularDesignError,
+    _gram_rows_well_posed,
     _scatter_symmetric,
     fit_linear_weighted,
     fit_linear_weighted_many,
@@ -126,6 +127,64 @@ def oracle_fit_linear_weighted(x, y, weights=None):
     return FittedLinear(
         phi=phi, sigma2=sigma2, cov=sigma2 * np.linalg.inv(a), n_effective=float(weights.sum())
     )
+
+
+def oracle_fit_linear_weighted_many(x, y, weights=None, extra=()):
+    """The batched WLS as it was when it computed everything eagerly: the
+    bordered Gram matrices, the rank rule, then the solve, a batched inverse
+    and the residual pass on every call.  Returns ``(phi, sigma2, cov, ok)``."""
+    xv = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    cols = [np.asarray(c, dtype=float) for c in extra]
+    n, p0 = xv.shape
+    p = p0 + len(cols)
+    m = len(weights) if weights is not None else len(cols[0]) if cols else 1
+    a, b = np.empty((m, p, p)), np.empty((m, p))
+    if weights is None:
+        a[:, :p0, :p0] = xv.T @ xv
+        b[:, :p0] = y @ xv
+        wnorm, wcols = None, cols
+    else:
+        row_means = weights.mean(axis=1, keepdims=True)
+        wnorm = weights / np.where(row_means > 0, row_means, 1.0)
+        iu = np.triu_indices(p0)
+        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = wnorm @ (xv[:, iu[0]] * xv[:, iu[1]])
+        b[:, :p0] = (wnorm * y) @ xv
+        wcols = [wnorm * c for c in cols]
+    for j, wc in enumerate(wcols, start=p0):
+        a[:, j, :p0] = a[:, :p0, j] = wc @ xv
+        b[:, j] = wc @ y
+        for i, c in enumerate(cols[j - p0 :], start=j):
+            a[:, i, j] = a[:, j, i] = np.einsum("ri,ri->r", wc, c)
+
+    phi = np.empty((m, p))
+    ok = _gram_rows_well_posed(a)
+    a_solvable = a if ok.all() else np.where(ok[:, None, None], a, np.eye(p)[None])
+    try:
+        phi = np.linalg.solve(a_solvable, b[:, :, None])[:, :, 0]
+        a_inv = np.linalg.inv(a_solvable)
+    except np.linalg.LinAlgError:
+        a_inv = np.empty((m, p, p))
+        for k in range(m):
+            try:
+                phi[k] = np.linalg.solve(a_solvable[k], b[k])
+                a_inv[k] = np.linalg.inv(a_solvable[k])
+            except np.linalg.LinAlgError:
+                ok[k] = False
+                phi[k] = np.nan
+                a_inv[k] = np.nan
+    phi[~ok] = np.nan
+    resid = phi[:, :p0] @ xv.T
+    for j, c in enumerate(cols, start=p0):
+        resid += phi[:, j, None] * c
+    np.subtract(y, resid, out=resid)
+    resid *= resid
+    if wnorm is not None:
+        resid *= wnorm
+    sigma2 = resid.sum(axis=1) / n
+    cov = sigma2[:, None, None] * a_inv
+    ok &= np.all(np.isfinite(phi), axis=1)
+    return phi, sigma2, cov, ok
 
 
 def _single(x, z, w):
@@ -296,6 +355,56 @@ class TestBorderedLinear:
         batch = fit_linear_weighted_many(x, y)
         assert batch.phi.shape == (1, 2) and batch.ok.tolist() == [True]
         np.testing.assert_allclose(batch.phi[0], np.linalg.lstsq(x, y)[0], rtol=1e-12)
+
+
+class TestLazyLinearAgainstEagerKernel:
+    """``phi`` and ``ok`` are computed with the fit, ``sigma2`` and ``cov``
+    on first read; every field is byte-identical to the eager kernel's."""
+
+    @staticmethod
+    def _inputs(kind, k, n=200, m=30, seed=11):
+        # Column 2 of x is nonzero only on the first n // 4 observations, and
+        # row 1's weights are zero there, so row 1 is singular.  Row 2's
+        # first extra column is affine in x's second column, so with extra
+        # columns row 2 is singular too.
+        gen = np.random.default_rng(seed)
+        x = np.column_stack([np.ones(n), gen.standard_normal(n), np.zeros(n)])
+        x[: n // 4, 2] = gen.standard_normal(n // 4)
+        y = x @ np.array([0.5, 1.0, -1.0]) + gen.standard_normal(n)
+        extra = gen.standard_normal((k, m, n))
+        if k:
+            extra[0, 2] = 2.0 * x[:, 1] + 1.0
+        if kind == "unweighted":
+            weights = None
+        elif kind == "counts":
+            weights = gen.integers(0, 4, (m, n)).astype(float)
+        else:
+            weights = gen.dirichlet(np.ones(n), m)
+        if weights is not None:
+            weights[1, : n // 4] = 0.0
+        return x, y, weights, tuple(extra)
+
+    @pytest.mark.parametrize("kind, k", [
+        ("counts", 0), ("dirichlet", 0), ("counts", 1), ("dirichlet", 3), ("unweighted", 3),
+    ])
+    def test_fields_equal_eager_kernel_bytes(self, kind, k):
+        x, y, weights, extra = self._inputs(kind, k)
+        phi, sigma2, cov, ok = oracle_fit_linear_weighted_many(x, y, weights, extra)
+        batch = fit_linear_weighted_many(x, y, weights, extra)
+        assert not ok.all()
+        assert "sigma2" not in vars(batch) and "cov" not in vars(batch)
+        assert batch.phi.tobytes() == phi.tobytes()
+        assert batch.ok.tobytes() == ok.tobytes()
+        # Read cov first: it reads sigma2 itself.
+        assert batch.cov.tobytes() == cov.tobytes()
+        assert batch.sigma2.tobytes() == sigma2.tobytes()
+
+    def test_single_unweighted_fit_equals_eager_kernel_bytes(self):
+        x, y, _, _ = self._inputs("unweighted", 0)
+        eager = oracle_fit_linear_weighted_many(x, y)
+        batch = fit_linear_weighted_many(x, y)
+        for name, old in zip(("phi", "sigma2", "cov", "ok"), eager):
+            assert getattr(batch, name).tobytes() == old.tobytes()
 
 
 class TestSingleLinearAgainstPreviousFit:

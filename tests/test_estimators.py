@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import OptimizeResult, minimize
@@ -29,8 +31,15 @@ from drbayes.estimators import (
     two_step_vardecomp,
     _joint_loglik,
 )
-from drbayes.glm import clever_covariate, fit_linear_weighted, fit_logistic_weighted, propensity
-from drbayes.numerics import RngStream
+from drbayes.glm import (
+    clever_covariate,
+    cubic_ps_basis,
+    cubic_ps_basis_jacobian,
+    fit_linear_weighted,
+    fit_logistic_weighted,
+    propensity,
+)
+from drbayes.numerics import RngStream, expit
 import drbayes.simulation as sim
 from drbayes.simulation import SimConfig, apply_scenario, generate_data, run_replication
 
@@ -483,6 +492,46 @@ def _central_diff_hessian(fun, x, rel_step=1e-5):
     return hess
 
 
+def reference_joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
+    """The profiled joint log-likelihood as it was before the bordered
+    moments: the (n, p) design rebuilt and its Gram matrix formed on every
+    call, and the Hessian contracted from the (n, 3, q) basis Jacobian.
+    Returns ``(value, grad, phi, hess)`` like ``_joint_loglik``."""
+    n, p_base = base.shape
+    p_phi = p_base + 3
+    e = expit(bvals @ gamma)
+    d = e - e.mean()
+    design = np.column_stack([base, cubic_ps_basis(e)])
+    if phi is None:
+        phi = np.linalg.solve(design.T @ design, design.T @ y)
+    resid = y - design @ phi
+    s2 = max(float(resid @ resid) / n, 1e-300)
+    value = -0.5 * n * (math.log(2.0 * math.pi * s2) + 1.0) + float(
+        z @ np.log(e) + (1.0 - z) @ np.log1p(-e)
+    )
+    g = phi[p_base] + d * (2.0 * phi[p_base + 1] + 3.0 * phi[p_base + 2] * d)
+    v = e * (1.0 - e)
+    rg = resid * g
+    score = np.concatenate([design.T @ resid, bvals.T @ (v * (rg - rg.mean()))])
+    grad = score / s2
+    grad[p_phi:] += bvals.T @ (z - e)
+    if not hessian:
+        return value, grad, phi, None
+    basis_jac = cubic_ps_basis_jacobian(bvals, e)
+    dd = basis_jac[:, 0]
+    jr = np.column_stack([design, dd * g[:, None]])
+    curv = jr.T @ jr
+    cross = -np.einsum("i,ikj->kj", resid, basis_jac)
+    curv[p_base:p_phi, p_phi:] += cross
+    curv[p_phi:, p_base:p_phi] += cross.T
+    dg = 2.0 * phi[p_base + 1] + 6.0 * phi[p_base + 2] * d
+    curv[p_phi:, p_phi:] -= (dd * (resid * dg)[:, None]).T @ dd
+    hess = 2.0 * np.outer(score, score) / (n * s2 * s2) - curv / s2
+    w = (rg - rg.mean()) * v * (1.0 - 2.0 * e) / s2 - v
+    hess[p_phi:, p_phi:] += (bvals * w[:, None]).T @ bvals
+    return value, grad, phi, hess
+
+
 class TestJoint:
     @staticmethod
     def _loglik(data, spec):
@@ -598,6 +647,42 @@ class TestJoint:
         assert res.diagnostics["hessian_jitter"] == 0.0
         target = np.sqrt(np.linalg.inv(-hess)[est.Z_COL, est.Z_COL])
         assert res.se == pytest.approx(target, rel=0.1)
+
+    @pytest.mark.parametrize("n", [500, 5000])
+    def test_matches_reference_objective(self, n):
+        # At the treatment-only fit and three points around it: the value,
+        # gradient, outcome coefficients and Hessian of the concentrated
+        # objective, and the gradient at an outcome block away from its
+        # least-squares solution.  The phi block of the concentrated gradient
+        # is zero up to rounding, and returned as zeros without the Hessian.
+        data, spec, p_phi, loglik = self._problem(n=n, seed=17)
+        base = est.plain_outcome_design(data, spec).values
+        bvals = est.treatment_design(data, spec).values
+        gen = RngStream(41).generator()
+        start = est._ps_fit(data, spec)[1].gamma
+
+        def close(new, old):
+            new, old = np.asarray(new), np.asarray(old)
+            assert np.abs(new - old).max() <= 1e-10 * np.abs(old).max()
+
+        for offset in (0.0, 0.05, 0.1, 0.2):
+            gamma = start + offset * gen.standard_normal(start.shape)
+            ref = reference_joint_loglik(data.y, data.z, base, bvals, gamma, hessian=True)
+            value, grad, phi, hess = loglik(gamma, hessian=True)
+            close(value, ref[0])
+            close(grad, ref[1])
+            close(phi, ref[2])
+            close(hess, ref[3])
+            value, grad, phi, hess = loglik(gamma)
+            assert hess is None and not grad[:p_phi].any()
+            close(value, ref[0])
+            close(grad[p_phi:], ref[1][p_phi:])
+            close(phi, ref[2])
+            off_phi = ref[2] + 0.1 * gen.standard_normal(p_phi)
+            ref = reference_joint_loglik(data.y, data.z, base, bvals, gamma, off_phi)
+            value, grad, _, _ = loglik(gamma, off_phi)
+            close(value, ref[0])
+            close(grad, ref[1])
 
     def test_recovers_where_fd_hessian_was_indefinite(self):
         # Chunk 8 of the benchmark's desk_n500 seed 4, replication 4: the
