@@ -864,7 +864,10 @@ def _joint_objective(y, z, base, bvals):
 
 
 def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
-    """One evaluation of :func:`_joint_objective` at ``gamma``."""
+    """Profiled joint log-likelihood at ``gamma`` (and ``phi``, if given):
+    ``(value, grad, phi, hess)`` from one evaluation of
+    :func:`_joint_objective`.  It forms the fixed outcome moments for this
+    one call; a fit builds the objective once and evaluates it many times."""
     return _joint_objective(y, z, base, bvals)(gamma, phi, hessian)
 
 

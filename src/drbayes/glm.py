@@ -424,17 +424,7 @@ class BatchLinear:
 
     @cached_property
     def cov(self):
-        a = self._gram
-        try:
-            a_inv = np.linalg.inv(a)
-        except np.linalg.LinAlgError:
-            a_inv = np.empty_like(a)
-            for k in range(a.shape[0]):
-                try:
-                    a_inv[k] = np.linalg.inv(a[k])
-                except np.linalg.LinAlgError:
-                    a_inv[k] = np.nan
-        return self.sigma2[:, None, None] * a_inv
+        return self.sigma2[:, None, None] * np.linalg.inv(self._gram)
 
 
 def fit_linear_weighted_many(x, y, weights=None, extra=()):
@@ -458,7 +448,7 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
     xv = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in extra]
-    n, p0 = xv.shape
+    p0 = xv.shape[1]
     p = p0 + len(cols)
     m = len(weights) if weights is not None else len(cols[0]) if cols else 1
     a, b = np.empty((m, p, p)), np.empty((m, p))
@@ -479,6 +469,8 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
         for i, c in enumerate(cols[j - p0 :], start=j):
             a[:, i, j] = a[:, j, i] = np.einsum("ri,ri->r", wc, c)
 
+    # Rows that fail are solved against the identity instead, so that the
+    # Gram stack kept for ``cov`` inverts; their ``phi`` is set to NaN.
     ok = _gram_rows_well_posed(a)
     if not ok.all():
         a = np.where(ok[:, None, None], a, np.eye(p)[None])
@@ -491,6 +483,7 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
                 phi[k] = np.linalg.solve(a[k], b[k])
             except np.linalg.LinAlgError:
                 ok[k] = False
+                a[k] = np.eye(p)
     phi[~ok] = np.nan
     ok &= np.all(np.isfinite(phi), axis=1)
     return BatchLinear(phi, ok, xv, y, wnorm, cols, a)

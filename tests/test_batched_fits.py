@@ -399,6 +399,29 @@ class TestLazyLinearAgainstEagerKernel:
         assert batch.cov.tobytes() == cov.tobytes()
         assert batch.sigma2.tobytes() == sigma2.tobytes()
 
+    def test_rows_the_solver_rejects_equal_eager_kernel_bytes(self, monkeypatch):
+        # A solver that fails the batched call and then row 5 of the per-row
+        # fallback, as LAPACK would on an exactly singular pivot.
+        solve = np.linalg.solve
+        calls = []
+
+        def failing_solve(a, b):
+            if a.ndim == 3:
+                raise np.linalg.LinAlgError("singular")
+            calls.append(1)
+            if len(calls) == 6:
+                raise np.linalg.LinAlgError("singular")
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        x, y, weights, extra = self._inputs("counts", 1)
+        eager = oracle_fit_linear_weighted_many(x, y, weights, extra)
+        calls.clear()
+        batch = fit_linear_weighted_many(x, y, weights, extra)
+        assert not eager[3][5] and not batch.ok[5]
+        for name, old in zip(("phi", "sigma2", "cov", "ok"), eager):
+            assert getattr(batch, name).tobytes() == old.tobytes()
+
     def test_single_unweighted_fit_equals_eager_kernel_bytes(self):
         x, y, _, _ = self._inputs("unweighted", 0)
         eager = oracle_fit_linear_weighted_many(x, y)
