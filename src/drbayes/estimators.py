@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .glm import (
     DesignMatrix,
@@ -427,8 +426,7 @@ def _treatment_refits(data, spec, W):
     them)."""
     design, fit, _, _ = _ps_model(data, spec)
     batch = fit_logistic_weighted_many(design.values, data.z, W, start=fit.gamma)
-    e = expit(np.where(np.isfinite(batch.gamma), batch.gamma, 0.0) @ design.values.T)
-    return batch, e
+    return batch, batch.prob
 
 
 @_per_dataset
@@ -871,6 +869,80 @@ def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     return _joint_objective(y, z, base, bvals)(gamma, phi, hessian)
 
 
+@dataclass(frozen=True)
+class SearchResult:
+    """End of a :func:`minimize` search: the point ``x``, the number of
+    objective evaluations ``nfev`` and of accepted steps ``nit``."""
+
+    x: np.ndarray
+    nfev: int
+    nit: int
+
+
+ARMIJO_C1 = 1e-4
+LINE_SEARCH_TRIALS = 20
+
+
+def minimize(fun, x0, gtol=1e-3, maxiter=200):
+    """Minimize ``fun`` from ``x0`` by BFGS on the inverse Hessian ``H``;
+    ``fun(x)`` returns ``(value, gradient)``.
+
+    ``H`` starts as the identity and is rescaled to ``(y's / y'y) I`` just
+    before the first update (Nocedal & Wright, *Numerical Optimization*,
+    2006, Alg. 6.1 and eq. 6.20; Shanno & Phua, 1978), so later steps have
+    the objective's scale.  Each line search starts from scipy's first
+    trial step ``min(1, 2.02 (f - f_prev) / g'p)`` and backtracks until the
+    Armijo condition holds, to the minimizer of the quadratic through the
+    last trial clamped to ``[0.1 a, 0.5 a]`` (a NaN value halves the step).
+    An update with ``y's <= 0`` is skipped, and a direction that is not a
+    descent direction is replaced by steepest descent.  The search stops
+    when ``max |g| <= gtol``, after ``maxiter`` steps, or when
+    ``LINE_SEARCH_TRIALS`` trials find no decrease.  ``LinAlgError`` raised
+    by ``fun`` propagates.
+    """
+    x = np.array(x0, dtype=float)
+    f, g = fun(x)
+    nfev, nit = 1, 0
+    f_prev = f + 0.5 * float(np.linalg.norm(g))
+    h = None  # the identity, until the first update rescales it
+    while nit < maxiter and not np.max(np.abs(g)) <= gtol:
+        p = -g if h is None else -(h @ g)
+        slope = float(g @ p)
+        if not slope < 0.0:
+            h, p = None, -g
+            slope = float(g @ p)
+            if not slope < 0.0:  # a NaN gradient
+                break
+        a = 2.02 * (f - f_prev) / slope
+        a = min(1.0, a) if a > 0.0 else 1.0
+        for _ in range(LINE_SEARCH_TRIALS):
+            f_new, g_new = fun(x + a * p)
+            nfev += 1
+            if f_new <= f + ARMIJO_C1 * a * slope:
+                break
+            if math.isfinite(f_new):
+                a_quad = -0.5 * slope * a * a / (f_new - f - slope * a)
+                a = min(max(a_quad, 0.1 * a), 0.5 * a)
+            else:
+                a *= 0.5
+        else:
+            break
+        s = a * p
+        y = g_new - g
+        x = x + s
+        f_prev, f, g = f, f_new, g_new
+        nit += 1
+        ys = float(y @ s)
+        if ys > 0.0:
+            if h is None:
+                h = ys / float(y @ y) * np.eye(x.size)
+            hy = h @ y
+            rho = 1.0 / ys
+            h += (rho * rho * float(y @ hy) + rho) * np.outer(s, s)
+            h -= rho * (np.outer(hy, s) + np.outer(s, hy))
+    return SearchResult(x, nfev, nit)
+
+
 JOINT_GTOL = 1e-6
 
 
@@ -906,13 +978,12 @@ def joint_estimation(data, spec, cfg, rng):
         value, grad, _, _ = loglik(gamma)
         return -value, -grad[p_phi:]
 
-    options = {"gtol": 1e-3, "maxiter": 200}
     # The gradient stays NaN when a block is singular, in the search or the
     # polish, or the step is not finite, so every failure meets the one
     # check below.
     gmax, stage = math.nan, "the BFGS search"
     try:
-        res = minimize(neg_concentrated, ps_fit.gamma, jac=True, method="BFGS", options=options)
+        res = minimize(neg_concentrated, ps_fit.gamma, gtol=1e-3, maxiter=200)
         stage = f"{res.nfev} BFGS evaluations and one Newton step"
         _, grad, _, hessian = loglik(res.x, hessian=True)
         cross = hessian[:p_phi, p_phi:]

@@ -22,9 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import qr
 
-from .numerics import expit, logistic_
+from .numerics import PROB_CLIP, expit, logistic_
 
 __all__ = [
     "DesignMatrix",
@@ -137,7 +136,11 @@ def _labels(design, p):
 
 
 def _collinear_columns(xw, labels):
-    """Labels of columns beyond the numerical rank of ``xw`` (QR pivoting)."""
+    """Labels of columns beyond the numerical rank of ``xw`` (QR pivoting).
+    Only failing fits call it, so scipy is imported here, not with the
+    module."""
+    from scipy.linalg import qr
+
     _, r, perm = qr(xw, mode="economic", pivoting=True)
     diag = np.abs(np.diag(r))
     tol = diag.max(initial=0.0) * max(xw.shape) * np.finfo(float).eps
@@ -275,6 +278,7 @@ class BatchLogistic:
     converged: np.ndarray  # (m,) bool
     separation: np.ndarray  # (m,) bool
     iterations: int
+    prob: np.ndarray | None = None  # (m, n) fitted probabilities, clipped as by expit
 
 
 def fit_logistic_weighted_many(x, z, weights, start=None):
@@ -290,7 +294,9 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     set, so late iterations only pay for the stragglers.  ``start``
     warm-starts all rows (typically the full-sample estimate, since
     reweighted fits are small perturbations of it); the optimum is
-    unchanged.
+    unchanged.  ``prob`` keeps each converged row's probabilities from its
+    last convergence check; the other rows are evaluated at their final
+    coefficients, NaN read as zero.
     """
     xv = _as_values(x)
     z = np.asarray(z, dtype=float)
@@ -307,6 +313,7 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     pairs = xv[:, iu[0]] * xv[:, iu[1]]
     converged = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
+    prob = np.empty((m, n))
     active = np.flatnonzero(row_means[:, 0] > 0)
     iterations = 0
     for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
@@ -322,6 +329,7 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
         done = np.abs(score).max(axis=1) < SCORE_TOL
         if done.any():
             converged[active[done]] = True
+            prob[active[done]] = mu[done]
             keep = ~done
             active = active[keep]
             if active.size == 0:
@@ -352,12 +360,17 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
             gamma[active[bad]] = np.nan
             diverged[active[bad]] = True
             active = active[~bad]
+    rest = ~converged
+    if rest.any():
+        prob[rest] = logistic_(np.where(np.isfinite(gamma[rest]), gamma[rest], 0.0) @ xv.T)
+    np.clip(prob, PROB_CLIP, 1.0 - PROB_CLIP, out=prob)
     return BatchLogistic(
         gamma=gamma,
         converged=converged,
         separation=diverged
         | (np.abs(np.where(np.isfinite(gamma), gamma, 0.0)).max(axis=1) > SEPARATION_BOUND),
         iterations=iterations,
+        prob=prob,
     )
 
 

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import drbayes
 from drbayes.cli import main
 from drbayes.numerics import RngStream
 from drbayes.simulation import generate_data
@@ -215,3 +220,16 @@ class TestSelfcheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+
+
+class TestImport:
+    def test_loads_no_scipy(self):
+        # scipy is imported only to diagnose a failing fit, so a fresh
+        # process that imports the command line does not pay for it.
+        src = str(Path(drbayes.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        code = "import sys, drbayes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"

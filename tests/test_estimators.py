@@ -532,6 +532,106 @@ def reference_joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     return value, grad, phi, hess
 
 
+class TestMinimize:
+    """The in-library BFGS search on functions with known minima."""
+
+    @staticmethod
+    def _recording(fun):
+        """``fun`` that records every value it returns."""
+        values = []
+
+        def recorded(x):
+            value, grad = fun(x)
+            values.append(value)
+            return value, grad
+
+        return recorded, values
+
+    @staticmethod
+    def _quadratic():
+        gen = RngStream(51).generator()
+        q, _ = np.linalg.qr(gen.standard_normal((5, 5)))
+        a = q @ np.diag(np.geomspace(1.0, 100.0, 5)) @ q.T
+        b = gen.standard_normal(5)
+
+        def fun(x):
+            return 0.5 * x @ a @ x - b @ x, a @ x - b
+
+        return fun, np.linalg.solve(a, b)
+
+    @staticmethod
+    def _rosenbrock(x):
+        value = 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
+        grad = np.array(
+            [-400.0 * x[0] * (x[1] - x[0] ** 2) - 2.0 * (1.0 - x[0]), 200.0 * (x[1] - x[0] ** 2)]
+        )
+        return value, grad
+
+    def _problems(self):
+        quadratic, x_min = self._quadratic()
+        return [
+            (quadratic, np.zeros(5), x_min),
+            (self._rosenbrock, np.array([-1.2, 1.0]), np.ones(2)),
+        ]
+
+    @pytest.mark.parametrize("problem", [0, 1], ids=["quadratic", "rosenbrock"])
+    def test_reaches_gtol_and_counts_every_call(self, problem):
+        fun, x0, x_min = self._problems()[problem]
+        recorded, values = self._recording(fun)
+        res = est.minimize(recorded, x0, gtol=1e-8)
+        assert np.abs(fun(res.x)[1]).max() <= 1e-8
+        np.testing.assert_allclose(res.x, x_min, rtol=1e-6)
+        assert res.nfev == len(values)
+        assert 0 < res.nit < 200
+
+    @pytest.mark.parametrize("problem", [0, 1], ids=["quadratic", "rosenbrock"])
+    def test_value_never_increases_and_maxiter_holds(self, problem):
+        # The search is deterministic, so the run capped at k steps ends at
+        # its k-th iterate.
+        fun, x0, _ = self._problems()[problem]
+        full = est.minimize(fun, x0, gtol=1e-8)
+        previous = fun(x0)[0]
+        for k in range(full.nit + 1):
+            res = est.minimize(fun, x0, gtol=1e-8, maxiter=k)
+            assert res.nit == k
+            value = fun(res.x)[0]
+            assert value <= previous
+            previous = value
+        assert np.array_equal(res.x, full.x)
+
+    @pytest.mark.parametrize("center", [0.9, 2.0])
+    def test_backtracks_from_nan_beyond_a_radius(self, center):
+        # |x - c|^2 inside the unit disc and NaN outside it.  The first trial
+        # step from the origin leaves the disc; with c outside, every search
+        # ends against the boundary.
+        c = np.array([center, 0.0])
+
+        def fun(x):
+            if x @ x >= 1.0:
+                return math.nan, np.full(2, math.nan)
+            return (x - c) @ (x - c), 2.0 * (x - c)
+
+        recorded, values = self._recording(fun)
+        res = est.minimize(recorded, np.zeros(2), gtol=1e-8)
+        assert any(math.isnan(v) for v in values)
+        value, grad = fun(res.x)
+        assert math.isfinite(value) and value < c @ c
+        if center < 1.0:
+            assert np.abs(grad).max() <= 1e-8
+
+    def test_linalg_error_propagates(self):
+        calls = []
+
+        def fun(x):
+            calls.append(1)
+            if len(calls) == 3:
+                raise np.linalg.LinAlgError("singular")
+            return self._rosenbrock(x)
+
+        with pytest.raises(np.linalg.LinAlgError):
+            est.minimize(fun, np.array([-1.2, 1.0]))
+
+
 class TestJoint:
     @staticmethod
     def _loglik(data, spec):
@@ -697,6 +797,42 @@ class TestJoint:
             data, spec, ResamplingConfig(200, 200), rep.child(STREAM_KEYS["joint"])
         )
         assert np.isfinite(res.point) and np.isfinite(res.se) and res.se > 0.0
+
+    @pytest.mark.parametrize("n", [500, 5000])
+    @pytest.mark.parametrize("scenario", ["I", "II"])
+    def test_search_matches_scipy_bfgs(self, monkeypatch, scenario, n):
+        # scipy's BFGS as the oracle: the polished fit lands where a tight
+        # scipy search from the treatment-only fit ends, and a fit passes the
+        # gradient check exactly when it passes with scipy's search instead.
+        def scipy_search(fun, x0, gtol=1e-3, maxiter=200):
+            options = {"gtol": gtol, "maxiter": maxiter}
+            return minimize(fun, x0, jac=True, method="BFGS", options=options)
+
+        def fit(data, spec, r):
+            try:
+                return est.joint_estimation(data, spec, CFG, RngStream(3, r).child(STREAM_KEYS["joint"]))
+            except EstimatorError:
+                return None
+
+        for r in range(5):
+            data = generate_data(n, RngStream(9100 + n, r))
+            spec = apply_scenario(data, scenario)
+            ours = fit(data, spec, r)
+            with monkeypatch.context() as patch:
+                patch.setattr(est, "minimize", scipy_search)
+                theirs = fit(data, spec, r)
+            assert (ours is None) == (theirs is None)
+            if ours is None:
+                continue
+            p_phi, loglik = self._loglik(data, spec)
+
+            def neg_concentrated(gamma):
+                value, grad, _, _ = loglik(gamma)
+                return -value, -grad[p_phi:]
+
+            start = est._ps_fit(data, spec)[1].gamma
+            reference = scipy_search(neg_concentrated, start, gtol=1e-8, maxiter=1000)
+            np.testing.assert_allclose(ours.diagnostics["ps_coef"], reference.x, rtol=1e-6)
 
 
 class TestImportanceSampling:
