@@ -903,6 +903,7 @@ def minimize(fun, x0, gtol=1e-3, maxiter=200):
     x = np.array(x0, dtype=float)
     f, g = fun(x)
     nfev, nit = 1, 0
+    # scipy's stand-in for the previous value: the first trial step is 1.01 / |g|.
     f_prev = f + 0.5 * float(np.linalg.norm(g))
     h = None  # the identity, until the first update rescales it
     while nit < maxiter and not np.max(np.abs(g)) <= gtol:

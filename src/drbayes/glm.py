@@ -313,7 +313,6 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     pairs = xv[:, iu[0]] * xv[:, iu[1]]
     converged = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
-    prob = np.empty((m, n))
     active = np.flatnonzero(row_means[:, 0] > 0)
     iterations = 0
     for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
@@ -329,7 +328,9 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
         done = np.abs(score).max(axis=1) < SCORE_TOL
         if done.any():
             converged[active[done]] = True
-            prob[active[done]] = mu[done]
+            # A converged row's normalized weights are not read again, so
+            # its probabilities take their place.
+            wnorm[active[done]] = mu[done]
             keep = ~done
             active = active[keep]
             if active.size == 0:
@@ -360,6 +361,7 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
             gamma[active[bad]] = np.nan
             diverged[active[bad]] = True
             active = active[~bad]
+    prob = wnorm
     rest = ~converged
     if rest.any():
         prob[rest] = logistic_(np.where(np.isfinite(gamma[rest]), gamma[rest], 0.0) @ xv.T)
