@@ -606,16 +606,16 @@ def _clever_rows(data, spec, W, E, H):
     """Clever-covariate regression per row of ``W``: the weighted fit of the
     plain outcome design plus the row's derived regressor
     ``H = z/E - (1-z)/(1-E)``, standardized over the weighted sample, where the
-    regressor's between-arm difference is ``1/E + 1/(1-E)``.  When the
-    regressor is collinear in the full-sample row 0 it is dropped from every
-    row.  Returns ``(values, ok, dropped_columns)``."""
+    regressor's between-arm difference is ``1/E + 1/(1-E) = 1/(E (1-E))``.
+    When the regressor is collinear in the full-sample row 0 it is dropped
+    from every row.  Returns ``(values, ok, dropped_columns)``."""
     y = data.y
     base = plain_outcome_design(data, spec).values
     lin = fit_linear_weighted_many(base, y, W, extra=(H,))
     if not lin.ok[0]:
         lin = fit_linear_weighted_many(base, y, W)
         return lin.phi[:, Z_COL], lin.ok, ("clever",)
-    correction = np.sum(W * (1.0 / E + 1.0 / (1.0 - E)), axis=1) / W.sum(axis=1)
+    correction = np.sum(W / (E * (1.0 - E)), axis=1) / W.sum(axis=1)
     return lin.phi[:, Z_COL] + lin.phi[:, -1] * correction, lin.ok, ()
 
 

@@ -13,7 +13,11 @@ hundreds of times per dataset; a row-batched Newton step is an order of
 magnitude faster than a Python loop over fits.  Each family has one kernel:
 the single fit is the batched fit of one weight row, so a single logistic
 fit stops by the same score rule, and a single linear fit is judged by the
-same rank rule, as every batched row.
+same rank rule, as every batched row.  Two shortcuts keep the batched
+kernels' common case cheap: every IRLS row starts from the same
+coefficients, so the first step is computed from one vector of fitted
+probabilities, and the rank rule is decided by one batched Cholesky
+factorization, falling back to eigenvalues only when some row fails.
 """
 
 from __future__ import annotations
@@ -156,14 +160,28 @@ RANK_TOL = 1e-10
 
 def _gram_rows_well_posed(a):
     """Numerical full-rank check of each Gram matrix in (m, p, p), on the
-    correlation scale."""
+    correlation scale: a row passes when its diagonal is positive, every
+    entry is finite and the smallest eigenvalue of its correlation matrix
+    exceeds ``RANK_TOL``.
+
+    ``corr - RANK_TOL * I`` is positive definite exactly when every
+    eigenvalue of ``corr`` exceeds ``RANK_TOL``, so one batched Cholesky
+    factorization decides the whole stack when every row passes.  Only when
+    it fails does a batched ``eigvalsh`` give the per-row verdicts.  Rows
+    with a non-finite entry fail before either test, because numpy's
+    Cholesky returns NaN for them without raising.
+    """
+    p = a.shape[1]
     diag = np.diagonal(a, axis1=1, axis2=2)
-    good = np.all(np.isfinite(diag), axis=1) & np.all(diag > 0.0, axis=1)
     scale = np.sqrt(np.where(diag > 0.0, diag, 1.0))
     corr = a / (scale[:, :, None] * scale[:, None, :])
-    corr[~good] = np.eye(a.shape[1])
-    eigvals = np.linalg.eigvalsh(corr)
-    return good & (eigvals[:, 0] > RANK_TOL)
+    good = np.all(diag > 0.0, axis=1) & np.all(np.isfinite(corr), axis=(1, 2))
+    corr[~good] = np.eye(p)
+    try:
+        np.linalg.cholesky(corr - RANK_TOL * np.eye(p))
+    except np.linalg.LinAlgError:
+        return good & (np.linalg.eigvalsh(corr)[:, 0] > RANK_TOL)
+    return good
 
 
 @lru_cache(maxsize=None)
@@ -297,6 +315,14 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     unchanged.  ``prob`` keeps each converged row's probabilities from its
     last convergence check; the other rows are evaluated at their final
     coefficients, NaN read as zero.
+
+    Every row starts from the same coefficients (``start``, or zeros), so
+    the first iteration evaluates the probabilities once, as an n-vector
+    ``mu0``, and forms each row's score and information as products of its
+    weight row with ``x * (z - mu0)`` and the column pairs of ``x`` times
+    ``mu0 (1 - mu0)``: no (m, n) array.  Rows that meet ``SCORE_TOL``
+    there converge with ``mu0`` as their probabilities; the other rows
+    take the same Newton step as in later iterations.
     """
     xv = _as_values(x)
     z = np.asarray(z, dtype=float)
@@ -305,10 +331,8 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     row_means = weights.mean(axis=1, keepdims=True)
     wnorm = weights / np.where(row_means > 0, row_means, 1.0)
 
-    if start is None:
-        gamma = np.zeros((m, p))
-    else:
-        gamma = np.tile(np.asarray(start, dtype=float), (m, 1))
+    gamma0 = np.zeros(p) if start is None else np.asarray(start, dtype=float)
+    gamma = np.tile(gamma0, (m, 1))
     iu = _upper_triangle(p)
     pairs = xv[:, iu[0]] * xv[:, iu[1]]
     converged = np.zeros(m, dtype=bool)
@@ -321,26 +345,38 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
         # A slice while every row is active: views instead of row copies.
         rows = slice(None) if active.size == m else active
         wa = wnorm[rows]
-        mu = logistic_(gamma[rows] @ xv.T)
-        r = z - mu
-        r *= wa
-        score = r @ xv
+        if iterations == 1:
+            # Every row starts at gamma0, so the probabilities are one
+            # n-vector and the score a product of the weight rows with x.
+            mu = logistic_(xv @ gamma0)
+            score = wa @ (xv * (z - mu)[:, None])
+        else:
+            mu = logistic_(gamma[rows] @ xv.T)
+            r = z - mu
+            r *= wa
+            score = r @ xv
         done = np.abs(score).max(axis=1) < SCORE_TOL
         if done.any():
             converged[active[done]] = True
             # A converged row's normalized weights are not read again, so
             # its probabilities take their place.
-            wnorm[active[done]] = mu[done]
+            wnorm[active[done]] = mu if iterations == 1 else mu[done]
             keep = ~done
             active = active[keep]
             if active.size == 0:
                 break
-            mu, wa, r, score = mu[keep], wa[keep], r[keep], score[keep]
-        # IRLS weights wa * mu * (1 - mu), in place over mu with r as scratch.
-        np.subtract(1.0, mu, out=r)
-        mu *= wa
-        mu *= r
-        info = _scatter_symmetric(mu @ pairs, p, iu)
+            wa, score = wa[keep], score[keep]
+            if iterations > 1:
+                mu, r = mu[keep], r[keep]
+        if iterations == 1:
+            info = wa @ (pairs * (mu * (1.0 - mu))[:, None])
+        else:
+            # IRLS weights wa * mu * (1 - mu), in place over mu with r as scratch.
+            np.subtract(1.0, mu, out=r)
+            mu *= wa
+            mu *= r
+            info = mu @ pairs
+        info = _scatter_symmetric(info, p, iu)
         try:
             step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:

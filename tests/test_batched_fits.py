@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
 
 from drbayes import estimators as est
+from drbayes import glm
 from drbayes.glm import (
     RANK_TOL,
     SEPARATION_BOUND,
@@ -29,7 +30,7 @@ from drbayes.glm import (
     fit_logistic_weighted,
     fit_logistic_weighted_many,
 )
-from drbayes.numerics import RngStream
+from drbayes.numerics import RngStream, expit
 from drbayes.simulation import apply_scenario, generate_data
 
 PROPERTY = settings(
@@ -507,3 +508,153 @@ class TestAgainstPreviousKernel:
         assert new.iterations == old.iterations > 1
         np.testing.assert_array_equal(new.converged, old.converged)
         np.testing.assert_allclose(new.gamma, old.gamma, rtol=1e-12, atol=0)
+
+
+def _assert_rows_close_to_largest(actual, desired, rel):
+    """Row-wise agreement within ``rel`` of each row's largest |entry| of
+    ``desired``: coefficients near zero are judged on their row's scale."""
+    scale = np.abs(desired).max(axis=1, keepdims=True)
+    assert np.all(np.abs(actual - desired) <= rel * scale)
+
+
+class TestSharedFirstStep:
+    """Every row starts from the same coefficients, so the first IRLS step is
+    computed from one n-vector of probabilities."""
+
+    @pytest.mark.parametrize(
+        "n, m, kind",
+        [(500, 200, "counts"), (500, 200, "dirichlet"), (5000, 50, "dirichlet")],
+    )
+    def test_plans_match_oracle_over_seeds(self, n, m, kind):
+        for seed in range(100, 120):
+            x, z, w, start = _treatment_plan(n, m, kind, seed=seed)
+            new = fit_logistic_weighted_many(x, z, w, start=start)
+            old = oracle_fit_logistic_weighted_many(x, z, w, start=start)
+            assert new.iterations == old.iterations, seed
+            np.testing.assert_array_equal(new.converged, old.converged)
+            assert new.converged.all()
+            _assert_rows_close_to_largest(new.gamma, old.gamma, rel=1e-13)
+
+    def test_full_sample_rows_converge_at_the_start(self):
+        x, z, w, start = _treatment_plan(500, 30, "counts", seed=3)
+        w[:] = 1.0
+        batch = fit_logistic_weighted_many(x, z, w, start=start)
+        assert batch.iterations == 1
+        assert batch.converged.all()
+        np.testing.assert_array_equal(batch.gamma, np.tile(start, (30, 1)))
+        expected = expit(x @ start)
+        for row in batch.prob:
+            assert row.tobytes() == expected.tobytes()
+
+
+def _gram_stack(gen, m, p, log10_lo, log10_hi):
+    """(m, p, p) Gram matrices whose correlation matrices have their smallest
+    eigenvalue near ``10**U(log10_lo, log10_hi)``, the others in [0.2, 3],
+    with column scales between e^-5 and e^5."""
+    q, _ = np.linalg.qr(gen.standard_normal((m, p, p)))
+    lam = gen.uniform(0.2, 3.0, (m, p))
+    lam[:, 0] = 10.0 ** gen.uniform(log10_lo, log10_hi, m)
+    s = q @ (lam[:, :, None] * np.swapaxes(q, 1, 2))
+    d = 1.0 / np.sqrt(np.diagonal(s, axis1=1, axis2=2))
+    scale = d * np.exp(gen.uniform(-5.0, 5.0, (m, p)))
+    a = scale[:, :, None] * s * scale[:, None, :]
+    return (a + np.swapaxes(a, 1, 2)) / 2.0
+
+
+def _eigenvalue_verdict(a):
+    """The rank rule decided row by row from eigenvalues: positive diagonal,
+    finite entries and smallest correlation-scale eigenvalue above
+    ``RANK_TOL``."""
+    diag = np.diag(a)
+    if not (np.all(np.isfinite(a)) and np.all(diag > 0.0)):
+        return False
+    scale = np.sqrt(diag)
+    return bool(np.linalg.eigvalsh(a / np.outer(scale, scale))[0] > RANK_TOL)
+
+
+def _special_rows(gen, p):
+    """Exactly singular, zero-diagonal and non-finite Gram matrices."""
+    x = gen.standard_normal((40, p))
+    x[:, -1] = 2.0 * x[:, 0] - x[:, 1]
+    singular = x.T @ x
+    zero_diag = _gram_stack(gen, 1, p, -3, -1)[0]
+    zero_diag[1, :] = zero_diag[:, 1] = 0.0
+    rows = [singular, zero_diag]
+    for i, j, value in [(1, 0, np.nan), (p - 1, 1, np.inf), (p - 1, p - 1, np.nan)]:
+        bad = _gram_stack(gen, 1, p, -3, -1)[0]
+        bad[i, j] = bad[j, i] = value
+        rows.append(bad)
+    return np.array(rows)
+
+
+class TestRankRule:
+    """``_gram_rows_well_posed`` decides with one Cholesky factorization and
+    gives the verdicts of the eigenvalue rule."""
+
+    def test_verdicts_equal_eigenvalue_rule(self):
+        gen = np.random.default_rng(20021)
+        checked = 0
+        for p in (3, 5, 7, 7):
+            for _ in range(10):
+                a = np.concatenate([_gram_stack(gen, 220, p, -13, -7), _special_rows(gen, p)])
+                expected = np.array([_eigenvalue_verdict(row) for row in a])
+                assert 0 < expected.sum() < len(a)
+                np.testing.assert_array_equal(_gram_rows_well_posed(a), expected)
+                for row, verdict in zip(a, expected):
+                    assert _gram_rows_well_posed(row[None])[0] == verdict
+                checked += len(a)
+        assert checked > 8000
+
+    def test_all_pass_batch_needs_no_eigenvalues(self, monkeypatch):
+        gen = np.random.default_rng(20022)
+        passing = _gram_stack(gen, 201, 7, np.log10(RANK_TOL) + 0.05, -7)
+        assert all(_eigenvalue_verdict(row) for row in passing)
+        # One row below the floor: the factorization fails and the
+        # eigenvalues decide every row.
+        one_failing = passing.copy()
+        one_failing[17] = _gram_stack(gen, 1, 7, -13, np.log10(RANK_TOL) - 0.05)[0]
+        expected = np.array([_eigenvalue_verdict(row) for row in one_failing])
+        assert expected.sum() == 200 and not expected[17]
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(b):
+            calls.append(b.shape)
+            return eigvalsh(b)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        assert _gram_rows_well_posed(passing).all()
+        assert calls == []
+        np.testing.assert_array_equal(_gram_rows_well_posed(one_failing), expected)
+        assert calls == [(201, 7, 7)]
+
+
+class TestStructuralGuards:
+    """The batched kernels take their fast paths on ordinary inputs.  These
+    check structure, not time."""
+
+    def test_well_posed_linear_fit_computes_no_eigenvalues(self, monkeypatch):
+        def no_eigvalsh(_):
+            raise AssertionError("eigvalsh called on a well-posed batch")
+
+        x, z, w, _ = _treatment_plan(500, 200, "counts", seed=5)
+        y = x @ np.linspace(0.5, -0.5, x.shape[1]) + np.sin(np.arange(500.0))
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        batch = fit_linear_weighted_many(x, y, w, extra=(z * w,))
+        assert batch.ok.all()
+        assert np.isfinite(batch.phi).all()
+
+    def test_first_logistic_pass_is_one_vector(self, monkeypatch):
+        shapes = []
+        logistic_ = glm.logistic_
+
+        def recording_logistic(a):
+            shapes.append(a.shape)
+            return logistic_(a)
+
+        x, z, w, start = _treatment_plan(500, 200, "dirichlet", seed=5)
+        monkeypatch.setattr(glm, "logistic_", recording_logistic)
+        batch = fit_logistic_weighted_many(x, z, w, start=start)
+        assert batch.converged.all() and batch.iterations > 1
+        assert shapes[0] == (500,)
+        assert all(len(shape) == 2 for shape in shapes[1:])
