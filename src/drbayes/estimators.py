@@ -15,12 +15,13 @@ Conventions used throughout:
   ``[WEIGHT_CLIP, 1 - WEIGHT_CLIP]`` before entering any inverse weight,
   bounding single-observation weights by 1e6;
 * every resampling estimator is one kernel over a weight matrix ``W`` (one
-  fit per row) and its clamped fitted treatment probabilities ``E``,
-  returning a value and a success flag per row.  The bootstrap plan stacks
-  a uniform row 0, which carries the full-sample treatment fit and gives
-  the point estimate, above multinomial count rows, whose spread gives the
-  standard error; the Bayesian-bootstrap plan holds flat-Dirichlet rows,
-  one posterior draw each;
+  fit per row) and its clamped fitted treatment probabilities ``E`` or
+  their clever covariate ``H = z/E - (1-z)/(1-E)``, whose absolute value is
+  the inverse treatment weight, returning a value and a success flag per
+  row.  The bootstrap plan stacks a uniform row 0, which carries the
+  full-sample treatment fit and gives the point estimate, above multinomial
+  count rows, whose spread gives the standard error; the Bayesian-bootstrap
+  plan holds flat-Dirichlet rows, one posterior draw each;
 * nonparametric-bootstrap refits are computed as count-weighted fits on the
   original rows, which is likelihood-identical to refitting on the
   physically resampled data;
@@ -347,24 +348,27 @@ def _ps_fit(data: Dataset, spec: CovariateSpec):
     return design, fit, e, dict(diag)
 
 
-def _ipw_rows(z, W, E, stabilize):
-    """Inverse treatment weights for each row of ``W``; when stabilizing,
-    the numerators are the row's weighted treated fraction and its
-    complement."""
+def _ipw_rows(z, W, H, stabilize):
+    """Inverse treatment weights for each row of ``W``: ``|H|``, the clever
+    covariate's ``1/E`` on the treated and ``1/(1-E)`` on the controls.
+    When stabilizing, they are multiplied by the row's weighted treated
+    fraction and its complement."""
+    w = np.abs(H)
+    if stabilize:
+        pbar = ((W @ z) / W.sum(axis=1))[:, None]
+        w *= np.where(z == 1.0, pbar, 1.0 - pbar)
+    return w
+
+
+def _ipw_row_max(z, W, H, stabilize):
+    """Row maxima of :func:`_ipw_rows` without its (m, n) matrix: ``H`` is
+    positive on the treated and negative on the controls, so its row
+    maximum is the largest treated weight and minus its row minimum the
+    largest control weight; a positive factor keeps that order."""
     if not stabilize:
-        return np.where(z == 1.0, 1.0 / E, 1.0 / (1.0 - E))
-    pbar = ((W @ z) / W.sum(axis=1))[:, None]
-    return np.where(z == 1.0, pbar / E, (1.0 - pbar) / (1.0 - E))
-
-
-def _ipw_row_max(z, W, E, stabilize):
-    """Row maxima of :func:`_ipw_rows` without its (m, n) matrix: each arm's
-    weight peaks at its extreme propensity, and rounding keeps that order."""
-    treated = z == 1.0
-    pbar = (W @ z) / W.sum(axis=1) if stabilize else 1.0
-    treated_max = pbar / E[:, treated].min(axis=1)
-    control_max = (1.0 - pbar if stabilize else 1.0) / (1.0 - E[:, ~treated].max(axis=1))
-    return np.maximum(treated_max, control_max)
+        return np.maximum(H.max(axis=1), -H.min(axis=1))
+    pbar = (W @ z) / W.sum(axis=1)
+    return np.maximum(pbar * H.max(axis=1), (1.0 - pbar) * -H.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +447,8 @@ def _count_plan(data, spec, rng, n_boot):
     counts, redraws = _bootstrap_counts(data.z, n_boot, rng.child(_SUB_WEIGHTS).generator())
     batch, e_b = _treatment_refits(data, spec, counts)
     W = np.vstack([np.ones(data.n), counts])
-    E = _clamp_ps(np.vstack([e, e_b]))
+    E = np.vstack([e, e_b])
+    np.clip(E, WEIGHT_CLIP, 1.0 - WEIGHT_CLIP, out=E)
     H = clever_covariate(data.z, E)
     ok = np.concatenate([[True], batch.converged])
     _freeze(W, E, H, ok)
@@ -485,11 +490,10 @@ def g_formula_adjusted(data, spec, cfg=None, rng=None):
     return _result("adjusted", fit.phi[Z_COL], observed_info_se_treatment(fit))
 
 
-def _iptw_rows(data, W, E):
-    """Weighted mean of ``y z / E - y (1 - z) / (1 - E)`` per row of ``W``;
-    returns ``(values, ok)``."""
-    y, z = data.y, data.z
-    values = np.sum(W * (y * z / E - y * (1.0 - z) / (1.0 - E)), axis=1) / W.sum(axis=1)
+def _iptw_rows(data, W, H):
+    """Weighted mean of ``y H = y z / E - y (1 - z) / (1 - E)`` per row of
+    ``W``; returns ``(values, ok)``."""
+    values = (W * H) @ data.y / W.sum(axis=1)
     return values, np.isfinite(values)
 
 
@@ -497,11 +501,11 @@ def iptw(data, spec, cfg, rng):
     """Inverse probability of treatment weighting with unstabilized weights;
     bootstrap standard error refitting the treatment model per resample."""
     diag = _ps_fit(data, spec)[3]
-    W, E, _, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
-    w = _ipw_rows(data.z, W[:1], E[:1], stabilize=False)
+    W, _, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    w = _ipw_rows(data.z, W[:1], H[:1], stabilize=False)
     diag["weight_min"] = float(w.min())
     diag["weight_max"] = float(w.max())
-    values, fit_ok = _iptw_rows(data, W, E)
+    values, fit_ok = _iptw_rows(data, W, H)
     return _bootstrap_result("iptw", values, ok & fit_ok, redraws, diag, "estimate is not finite")
 
 
@@ -585,8 +589,12 @@ def _dr_rows(data, spec, W, H):
     y = data.y
     design = plain_outcome_design(data, spec).values
     lin = fit_linear_weighted_many(design, y, W)
-    m_obs = lin.phi @ design.T
-    residual = np.sum(W * (y - m_obs) * H, axis=1) / W.sum(axis=1)
+    # W (y - m_obs) H, in place over the fitted values.
+    terms = lin.phi @ design.T
+    np.subtract(y, terms, out=terms)
+    terms *= W
+    terms *= H
+    residual = terms.sum(axis=1) / W.sum(axis=1)
     return residual + lin.phi[:, Z_COL], lin.ok, residual
 
 
@@ -628,15 +636,15 @@ def clever_covariate_regression(data, spec, cfg, rng):
     values, fit_ok, dropped = _clever_rows(data, spec, W, E, H)
     if dropped:
         diag["dropped_columns"] = list(dropped)
-    diag["max_abs_clever"] = float(_ipw_row_max(data.z, W[:1], E[:1], stabilize=False)[0])
+    diag["max_abs_clever"] = float(_ipw_row_max(data.z, W[:1], H[:1], stabilize=False)[0])
     return _bootstrap_result("clever", values, ok & fit_ok, redraws, diag)
 
 
-def _or_iptw_rows(data, spec, W, E, stabilize):
+def _or_iptw_rows(data, spec, W, H, stabilize):
     """Treatment coefficient of the plain outcome fit weighted by ``W``
-    times the row's inverse treatment weights, per row of ``W``.  Returns
-    ``(values, ok, treatment_weights)``."""
-    w = _ipw_rows(data.z, W, E, stabilize)
+    times the row's inverse treatment weights (from the clever covariates
+    ``H``), per row of ``W``.  Returns ``(values, ok, treatment_weights)``."""
+    w = _ipw_rows(data.z, W, H, stabilize)
     lin = fit_linear_weighted_many(plain_outcome_design(data, spec).values, data.y, W * w)
     return lin.phi[:, Z_COL], lin.ok, w
 
@@ -646,8 +654,8 @@ def or_iptw(data, spec, cfg, rng):
     standardized over the empirical covariate distribution; bootstrap
     standard error refitting both models."""
     diag = _ps_fit(data, spec)[3]
-    W, E, _, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
-    values, fit_ok, w = _or_iptw_rows(data, spec, W, E, cfg.stabilize)
+    W, _, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
+    values, fit_ok, w = _or_iptw_rows(data, spec, W, H, cfg.stabilize)
     diag["weight_min"] = float(w[0].min())
     diag["weight_max"] = float(w[0].max())
     return _bootstrap_result("or_iptw", values, ok & fit_ok, redraws, diag)
@@ -667,13 +675,16 @@ def _dirichlet_rows(gen, m, n):
 @_per_dataset
 def _dirichlet_plan(data, spec, rng, n_draws):
     """Bayesian-bootstrap plan shared by the two-step and importance-sampling
-    estimators: ``(xi, batch, e)``, Dirichlet weight rows drawn from ``rng``,
-    the treatment model refit to each row and its unclamped fitted
-    probabilities."""
+    estimators: ``(xi, batch, e, H)``, Dirichlet weight rows drawn from
+    ``rng``, the treatment model refit to each row, its unclamped fitted
+    probabilities (read by the two-step basis) and the clever covariate
+    ``z/E - (1-z)/(1-E)`` of the clamped ones ``E`` (read by ``is`` and
+    ``is_dr``)."""
     xi = _dirichlet_rows(rng.child(_SUB_WEIGHTS).generator(), n_draws, data.n)
     batch, e = _treatment_refits(data, spec, xi)
-    _freeze(xi, batch.gamma, batch.converged, e)
-    return xi, batch, e
+    H = clever_covariate(data.z, _clamp_ps(e))
+    _freeze(xi, batch.gamma, batch.converged, e, H)
+    return xi, batch, e, H
 
 
 def _two_step_draws(data, spec, cfg, rng):
@@ -688,7 +699,7 @@ def _two_step_draws(data, spec, cfg, rng):
     diagnostics.
     """
     m = cfg.n_draws
-    _, ps_batch, e = _dirichlet_plan(data, spec, rng, m)
+    _, ps_batch, e, _ = _dirichlet_plan(data, spec, rng, m)
     # Per-draw columns: the centered cubic basis of the draw's probabilities.
     d = e - e.mean(axis=1, keepdims=True)
     d2 = d * d
@@ -697,7 +708,7 @@ def _two_step_draws(data, spec, cfg, rng):
     ok = ps_batch.converged & lin_batch.ok
 
     contrast_hat = lin_batch.phi[:, Z_COL]
-    model_var = lin_batch.cov[:, Z_COL, Z_COL]
+    model_var = lin_batch.variance(Z_COL)
     noise = rng.child(_SUB_NOISE).generator().standard_normal(m)
     contrast_draw = contrast_hat + np.sqrt(model_var) * noise
 
@@ -1051,8 +1062,8 @@ def importance_sampling(data, spec, cfg, rng):
     both models, and standardize over the weighted empirical covariate
     distribution (the ``or_iptw`` kernel on Dirichlet rows).  Point and
     standard error are the mean and standard deviation over draws."""
-    xi, batch, e = _dirichlet_plan(data, spec, rng, cfg.n_draws)
-    values, fit_ok, w = _or_iptw_rows(data, spec, xi, _clamp_ps(e), cfg.stabilize)
+    xi, batch, _, H = _dirichlet_plan(data, spec, rng, cfg.n_draws)
+    values, fit_ok, w = _or_iptw_rows(data, spec, xi, H, cfg.stabilize)
     ok = batch.converged & fit_ok
     diag = _draw_diagnostics(ok, w.max(axis=1), batch)
     return _result_from_draws("is", values[ok], diagnostics=diag)
@@ -1063,11 +1074,10 @@ def importance_sampling_dr(data, spec, cfg, rng):
     residual term plus the weighted standardization term, with both model
     plug-ins refit under the draw's Dirichlet weights (the ``dr`` kernel on
     Dirichlet rows)."""
-    xi, batch, e = _dirichlet_plan(data, spec, rng, cfg.n_draws)
-    E = _clamp_ps(e)
-    values, fit_ok, residual = _dr_rows(data, spec, xi, clever_covariate(data.z, E))
+    xi, batch, _, H = _dirichlet_plan(data, spec, rng, cfg.n_draws)
+    values, fit_ok, residual = _dr_rows(data, spec, xi, H)
     ok = batch.converged & fit_ok
-    diag = _draw_diagnostics(ok, _ipw_row_max(data.z, xi, E, cfg.stabilize), batch)
+    diag = _draw_diagnostics(ok, _ipw_row_max(data.z, xi, H, cfg.stabilize), batch)
     diag["mean_abs_residual_term"] = float(np.mean(np.abs(residual[ok])))
     return _result_from_draws("is_dr", values[ok], diagnostics=diag)
 

@@ -2,9 +2,14 @@
 
 Two model families are supported: logistic regression fit by iteratively
 reweighted least squares, and Gaussian linear regression fit by weighted
-least squares in closed form.  Weights are treated as relative throughout:
-rescaling all weights by a positive constant leaves coefficients, residual
-variance, and reported covariance unchanged.
+least squares in closed form.  Weights are treated as relative: rescaling
+a fit's weights by a positive constant leaves coefficients, residual
+variance and the least-squares covariance unchanged (the single logistic
+fit's ``cov`` inverts the information at the raw, frequency weights).  The
+batched kernels use the caller's weight rows as given, and the
+normalization to mean one lives in (m,)-vectors that scale the score for
+the stopping rule and the variance fields, so a power-of-two factor on a
+row changes no bit of that row's fit.
 
 Batched variants (``*_many``) fit one model per row of a weight matrix
 against a shared design, plus per-row extra columns in the linear case.
@@ -17,7 +22,10 @@ same rank rule, as every batched row.  Two shortcuts keep the batched
 kernels' common case cheap: every IRLS row starts from the same
 coefficients, so the first step is computed from one vector of fitted
 probabilities, and the rank rule is decided by one batched Cholesky
-factorization, falling back to eigenvalues only when some row fails.
+factorization, falling back to eigenvalues only when some row fails.  The
+kernels' (m, n) work is otherwise kept to the passes that carry
+information: no normalized copy of the weights, the IRLS probabilities
+formed in place from one product, and its weights in two passes.
 """
 
 from __future__ import annotations
@@ -262,7 +270,9 @@ def fit_logistic_weighted(x, z, weights=None):
                 columns=suspects,
             )
 
-    mu = expit(xv @ gamma)
+    # The kernel's probabilities at the final iterate; NaN coefficients
+    # (an abandoned fit) give NaN throughout, as they would from expit.
+    mu = batch.prob[0] if np.all(np.isfinite(gamma)) else np.full(n, np.nan)
     score = xv.T @ (weights / weights.mean() * (z - mu))
     # Covariance from the observed information at the raw weights (frequency
     # weights), so duplicating rows while halving weights changes nothing.
@@ -303,8 +313,8 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     """IRLS for many weight vectors against one shared design.
 
     ``weights`` has shape (m, n); row k defines its own fit.  A row converges
-    when the largest absolute entry of its weighted score (weights
-    normalized to mean one) drops below ``SCORE_TOL``.  Rows that fail
+    when the largest absolute entry of its weighted score, divided by the
+    row's mean weight, drops below ``SCORE_TOL``.  Rows that fail
     (singular information, or a coefficient leaving ``DIVERGENCE_BOUND``)
     are abandoned with NaN coefficients and reported unconverged rather than
     raising, since resampling callers skip and count such draws; a diverging
@@ -316,64 +326,75 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     last convergence check; the other rows are evaluated at their final
     coefficients, NaN read as zero.
 
-    Every row starts from the same coefficients (``start``, or zeros), so
-    the first iteration evaluates the probabilities once, as an n-vector
-    ``mu0``, and forms each row's score and information as products of its
-    weight row with ``x * (z - mu0)`` and the column pairs of ``x`` times
-    ``mu0 (1 - mu0)``: no (m, n) array.  Rows that meet ``SCORE_TOL``
-    there converge with ``mu0`` as their probabilities; the other rows
-    take the same Newton step as in later iterations.
+    The weight rows are used as given: the Newton step is the same at any
+    positive scale of a row, so only the (m, p) score is divided by the row
+    means, for the stopping rule.  Every row starts from the same
+    coefficients (``start``, or zeros), so the first iteration evaluates the
+    probabilities once, as an n-vector ``mu0``, and forms each row's score
+    and information as products of its weight row with ``x * (z - mu0)``
+    and the column pairs of ``x`` times ``mu0 (1 - mu0)``: no (m, n) array.
+    Rows that meet ``SCORE_TOL`` there converge with ``mu0`` as their
+    probabilities.  Later iterations take ``-eta`` from one product with
+    ``-gamma`` and form the IRLS weights ``w mu (1 - mu)`` as
+    ``r (mu - (1 - z))`` from the score's residuals ``r = w (z - mu)``, in
+    place.
     """
     xv = _as_values(x)
     z = np.asarray(z, dtype=float)
     m, n = weights.shape
     p = xv.shape[1]
-    row_means = weights.mean(axis=1, keepdims=True)
-    wnorm = weights / np.where(row_means > 0, row_means, 1.0)
+    row_means = weights.mean(axis=1)
 
     gamma0 = np.zeros(p) if start is None else np.asarray(start, dtype=float)
     gamma = np.tile(gamma0, (m, 1))
     iu = _upper_triangle(p)
     pairs = xv[:, iu[0]] * xv[:, iu[1]]
+    controls = 1.0 - z
+    prob = np.empty((m, n))
     converged = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
-    active = np.flatnonzero(row_means[:, 0] > 0)
+    active = np.flatnonzero(row_means > 0)
     iterations = 0
     for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
         if active.size == 0:
             break
         # A slice while every row is active: views instead of row copies.
         rows = slice(None) if active.size == m else active
-        wa = wnorm[rows]
+        wa = weights[rows]
         if iterations == 1:
             # Every row starts at gamma0, so the probabilities are one
             # n-vector and the score a product of the weight rows with x.
             mu = logistic_(xv @ gamma0)
             score = wa @ (xv * (z - mu)[:, None])
         else:
-            mu = logistic_(gamma[rows] @ xv.T)
+            # 1 / (1 + exp(-eta)) in place; exp overflows to inf where the
+            # probability is 0 in the limit, and its reciprocal gives that 0.
+            mu = -gamma[rows] @ xv.T
+            with np.errstate(over="ignore"):
+                np.exp(mu, out=mu)
+            mu += 1.0
+            np.reciprocal(mu, out=mu)
             r = z - mu
             r *= wa
             score = r @ xv
-        done = np.abs(score).max(axis=1) < SCORE_TOL
+        done = np.abs(score).max(axis=1) / row_means[active] < SCORE_TOL
         if done.any():
             converged[active[done]] = True
-            # A converged row's normalized weights are not read again, so
-            # its probabilities take their place.
-            wnorm[active[done]] = mu if iterations == 1 else mu[done]
+            prob[active[done]] = mu if iterations == 1 else mu[done]
             keep = ~done
             active = active[keep]
             if active.size == 0:
                 break
-            wa, score = wa[keep], score[keep]
-            if iterations > 1:
+            score = score[keep]
+            if iterations == 1:
+                wa = wa[keep]
+            else:
                 mu, r = mu[keep], r[keep]
         if iterations == 1:
             info = wa @ (pairs * (mu * (1.0 - mu))[:, None])
         else:
-            # IRLS weights wa * mu * (1 - mu), in place over mu with r as scratch.
-            np.subtract(1.0, mu, out=r)
-            mu *= wa
+            # IRLS weights w mu (1 - mu) = r (mu - (1 - z)), in place over mu.
+            mu -= controls
             mu *= r
             info = mu @ pairs
         info = _scatter_symmetric(info, p, iu)
@@ -397,7 +418,6 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
             gamma[active[bad]] = np.nan
             diverged[active[bad]] = True
             active = active[~bad]
-    prob = wnorm
     rest = ~converged
     if rest.any():
         prob[rest] = logistic_(np.where(np.isfinite(gamma[rest]), gamma[rest], 0.0) @ xv.T)
@@ -450,18 +470,26 @@ class BatchLinear:
     ``phi`` (m, p) and ``ok`` (m,) are computed with the fit.  ``sigma2``
     (m,) and ``cov`` (m, p, p) cost a residual pass and a batched inverse
     that most callers never read, so each is computed on first read, from
-    the fit's inputs, which must not be modified before then.
+    the fit's inputs, which must not be modified before then;
+    :meth:`variance` gives one diagonal entry of ``cov`` from a batched
+    solve.  Both scale the raw-weight fit to weights of mean one per row.
     """
 
-    def __init__(self, phi, ok, x, y, wnorm, cols, gram):
+    def __init__(self, phi, ok, x, y, weights, cols, gram):
         self.phi = phi
         self.ok = ok
-        self._inputs = (x, y, wnorm, cols)
+        self._inputs = (x, y, weights, cols)
         self._gram = gram
 
     @cached_property
+    def _totals(self):
+        """Each row's total weight: n when unweighted."""
+        xv, _, weights, _ = self._inputs
+        return float(xv.shape[0]) if weights is None else weights.sum(axis=1)
+
+    @cached_property
     def sigma2(self):
-        xv, y, wnorm, cols = self._inputs
+        xv, y, weights, cols = self._inputs
         p0 = xv.shape[1]
         resid = self.phi[:, :p0] @ xv.T
         for j, c in enumerate(cols, start=p0):
@@ -469,13 +497,27 @@ class BatchLinear:
         # Weighted squared residuals, in place in one buffer.
         np.subtract(y, resid, out=resid)
         resid *= resid
-        if wnorm is not None:
-            resid *= wnorm
-        return resid.sum(axis=1) / xv.shape[0]
+        if weights is not None:
+            resid *= weights
+        return resid.sum(axis=1) / self._totals
+
+    @cached_property
+    def _cov_scale(self):
+        """``sigma2`` times the row mean weight, which turns the inverse of
+        the raw-weight Gram matrix into the mean-one one."""
+        return self.sigma2 * (self._totals / self._inputs[0].shape[0])
 
     @cached_property
     def cov(self):
-        return self.sigma2[:, None, None] * np.linalg.inv(self._gram)
+        return self._cov_scale[:, None, None] * np.linalg.inv(self._gram)
+
+    def variance(self, j):
+        """``cov[:, j, j]`` from one batched solve against the unit vector
+        ``e_j``, without the batched inverse."""
+        m, p, _ = self._gram.shape
+        unit = np.zeros((m, p, 1))
+        unit[:, j] = 1.0
+        return self._cov_scale * np.linalg.solve(self._gram, unit)[:, j, 0]
 
 
 def fit_linear_weighted_many(x, y, weights=None, extra=()):
@@ -485,11 +527,13 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
     per-row columns, each (m, n), appended after it: row r fits
     ``[x, extra[0][r], ..., extra[k-1][r]]``.  ``weights`` is (m, n), or
     None for unweighted fits: one per row of ``extra``, or a single fit
-    (m = 1) when there is no ``extra``.  The Gram matrix is bordered:
-    ``x'Wx`` from one product over the column pairs of ``x`` (computed once
-    when unweighted), the cross blocks ``(W C_j) @ x`` and a k x k corner of
-    row sums, so no (m, n, p0 + k) design is built.  Singular rows are
-    flagged in ``ok`` instead of raising.
+    (m = 1) when there is no ``extra``.  The weight rows are used as given,
+    since the coefficients do not depend on a row's scale.  The Gram matrix
+    is bordered: ``x'Wx`` from one product over the column pairs of ``x``
+    (computed once when unweighted), the cross blocks ``(W C_j) @ x`` and a
+    k x k corner of row sums, so no (m, n, p0 + k) design is built; the
+    right-hand side of ``x`` is ``W @ (x y)``.  Singular rows are flagged in
+    ``ok`` instead of raising.
 
     Only the coefficients and ``ok`` are computed here.  The returned
     :class:`BatchLinear` keeps the Gram matrices and the inputs, and forms
@@ -506,14 +550,12 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
     if weights is None:
         a[:, :p0, :p0] = xv.T @ xv
         b[:, :p0] = y @ xv
-        wnorm, wcols = None, cols
+        wcols = cols
     else:
-        row_means = weights.mean(axis=1, keepdims=True)
-        wnorm = weights / np.where(row_means > 0, row_means, 1.0)
         iu = _upper_triangle(p0)
-        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = wnorm @ (xv[:, iu[0]] * xv[:, iu[1]])
-        b[:, :p0] = (wnorm * y) @ xv
-        wcols = [wnorm * c for c in cols]
+        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = weights @ (xv[:, iu[0]] * xv[:, iu[1]])
+        b[:, :p0] = weights @ (xv * y[:, None])
+        wcols = [weights * c for c in cols]
     for j, wc in enumerate(wcols, start=p0):
         a[:, j, :p0] = a[:, :p0, j] = wc @ xv
         b[:, j] = wc @ y
@@ -537,7 +579,7 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
                 a[k] = np.eye(p)
     phi[~ok] = np.nan
     ok &= np.all(np.isfinite(phi), axis=1)
-    return BatchLinear(phi, ok, xv, y, wnorm, cols, a)
+    return BatchLinear(phi, ok, xv, y, weights, cols, a)
 
 
 def propensity(fit, design):

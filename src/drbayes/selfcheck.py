@@ -44,11 +44,12 @@ def _fixture_data(n=80, seed=1905, stream=3):
 
 
 def _flat_row(data, spec):
-    """A flat weight row (1/n per observation) and its clamped treatment
-    probabilities, refit through the batched path of the Dirichlet plan."""
+    """A flat weight row (1/n per observation) and the clever covariate of
+    its clamped treatment probabilities, refit through the batched path of
+    the Dirichlet plan."""
     flat = np.full((1, data.n), 1.0 / data.n)
     _, e = est._treatment_refits(data, spec, flat)
-    return flat, est._clamp_ps(e)
+    return flat, clever_covariate(data.z, est._clamp_ps(e))
 
 
 def _point(tag, data, spec, stabilize=True):
@@ -61,8 +62,8 @@ def _point(tag, data, spec, stabilize=True):
 def check_uniform_weights_match_weighted_regression(stabilize=True):
     """Flat-weight Bayesian draw equals the weighted-regression estimator."""
     data, spec = _fixture_data()
-    flat, e = _flat_row(data, spec)
-    bayes = float(est._or_iptw_rows(data, spec, flat, e, stabilize)[0][0])
+    flat, H = _flat_row(data, spec)
+    bayes = float(est._or_iptw_rows(data, spec, flat, H, stabilize)[0][0])
     frequentist = _point("or_iptw", data, spec, stabilize)
     residual = abs(bayes - frequentist)
     return CheckResult(
@@ -76,8 +77,8 @@ def check_uniform_weights_match_weighted_regression(stabilize=True):
 def check_uniform_weights_match_dr():
     """Flat-weight doubly robust draw equals the frequentist DR estimator."""
     data, spec = _fixture_data()
-    flat, e = _flat_row(data, spec)
-    bayes = float(est._dr_rows(data, spec, flat, clever_covariate(data.z, e))[0][0])
+    flat, H = _flat_row(data, spec)
+    bayes = float(est._dr_rows(data, spec, flat, H)[0][0])
     frequentist = _point("dr", data, spec)
     residual = abs(bayes - frequentist)
     return CheckResult(
@@ -194,8 +195,8 @@ def check_saturated_ps_reduces_to_weighted_mean():
     whatever the (misspecified) outcome model says."""
     data = _discrete_instance(16, seed=511)
     spec = CovariateSpec(s_columns=((0, est.IDENTITY),), b_columns=((0, est.IDENTITY),))
-    flat, e_fit = _flat_row(data, spec)
-    value = float(est._dr_rows(data, spec, flat, clever_covariate(data.z, e_fit))[0][0])
+    flat, H = _flat_row(data, spec)
+    value = float(est._dr_rows(data, spec, flat, H)[0][0])
     xi = flat[0]
     # Brute-force oracle: within-cell treated fractions give the fitted
     # probabilities of the saturated logistic fit.

@@ -8,6 +8,8 @@ in the last bits with the number of rows around it, so coefficients are
 compared at the precision the stopping rule guarantees, not bit for bit.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,6 +27,7 @@ from drbayes.glm import (
     SingularDesignError,
     _gram_rows_well_posed,
     _scatter_symmetric,
+    clever_covariate,
     fit_linear_weighted,
     fit_linear_weighted_many,
     fit_logistic_weighted,
@@ -131,9 +134,10 @@ def oracle_fit_linear_weighted(x, y, weights=None):
 
 
 def oracle_fit_linear_weighted_many(x, y, weights=None, extra=()):
-    """The batched WLS as it was when it computed everything eagerly: the
-    bordered Gram matrices, the rank rule, then the solve, a batched inverse
-    and the residual pass on every call.  Returns ``(phi, sigma2, cov, ok)``."""
+    """The batched WLS computing everything eagerly: the bordered Gram
+    matrices of the raw weight rows, the rank rule, then the solve, a batched
+    inverse and the residual pass on every call, with ``sigma2`` and ``cov``
+    scaled to weights of mean one per row.  Returns ``(phi, sigma2, cov, ok)``."""
     xv = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     cols = [np.asarray(c, dtype=float) for c in extra]
@@ -144,14 +148,12 @@ def oracle_fit_linear_weighted_many(x, y, weights=None, extra=()):
     if weights is None:
         a[:, :p0, :p0] = xv.T @ xv
         b[:, :p0] = y @ xv
-        wnorm, wcols = None, cols
+        wcols, totals = cols, float(n)
     else:
-        row_means = weights.mean(axis=1, keepdims=True)
-        wnorm = weights / np.where(row_means > 0, row_means, 1.0)
         iu = np.triu_indices(p0)
-        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = wnorm @ (xv[:, iu[0]] * xv[:, iu[1]])
-        b[:, :p0] = (wnorm * y) @ xv
-        wcols = [wnorm * c for c in cols]
+        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = weights @ (xv[:, iu[0]] * xv[:, iu[1]])
+        b[:, :p0] = weights @ (xv * y[:, None])
+        wcols, totals = [weights * c for c in cols], weights.sum(axis=1)
     for j, wc in enumerate(wcols, start=p0):
         a[:, j, :p0] = a[:, :p0, j] = wc @ xv
         b[:, j] = wc @ y
@@ -180,10 +182,10 @@ def oracle_fit_linear_weighted_many(x, y, weights=None, extra=()):
         resid += phi[:, j, None] * c
     np.subtract(y, resid, out=resid)
     resid *= resid
-    if wnorm is not None:
-        resid *= wnorm
-    sigma2 = resid.sum(axis=1) / n
-    cov = sigma2[:, None, None] * a_inv
+    if weights is not None:
+        resid *= weights
+    sigma2 = resid.sum(axis=1) / totals
+    cov = (sigma2 * (totals / n))[:, None, None] * a_inv
     ok &= np.all(np.isfinite(phi), axis=1)
     return phi, sigma2, cov, ok
 
@@ -658,3 +660,101 @@ class TestStructuralGuards:
         assert batch.converged.all() and batch.iterations > 1
         assert shapes[0] == (500,)
         assert all(len(shape) == 2 for shape in shapes[1:])
+
+
+class TestWeightRowScale:
+    """Weights are relative: the kernels use the weight rows as given and
+    scale only (m,)-vectors by the row means, so a power-of-two factor on a
+    row changes no bit of any field, and other factors change only the last
+    bits."""
+
+    @staticmethod
+    def _fields(x, z, y, w):
+        logistic = fit_logistic_weighted_many(x, z, w, start=None)
+        fields = {
+            "gamma": logistic.gamma,
+            "prob": logistic.prob,
+            "converged": logistic.converged,
+            "iterations": np.array(logistic.iterations),
+        }
+        for label, extra in (("", ()), ("bordered ", (clever_covariate(z, logistic.prob),))):
+            linear = fit_linear_weighted_many(x, y, w, extra=extra)
+            # Read cov first: it reads sigma2 itself.
+            fields[label + "cov"] = linear.cov
+            fields[label + "sigma2"] = linear.sigma2
+            fields[label + "phi"] = linear.phi
+            fields[label + "ok"] = linear.ok
+        return fields
+
+    @staticmethod
+    def _row_factors(m, exponent_or_factor):
+        # Alternate the factor and its reciprocal over the rows, with row 0
+        # unscaled, so rows of one batch sit at different scales.
+        factors = np.where(np.arange(m) % 2 == 0, exponent_or_factor, 1.0 / exponent_or_factor)
+        factors[0] = 1.0
+        return factors[:, None]
+
+    @pytest.mark.parametrize("kind", ["counts", "dirichlet"])
+    def test_power_of_two_factors_change_no_bit(self, kind):
+        x, z, w, _ = _treatment_plan(500, 40, kind, seed=41)
+        y = x @ np.linspace(0.5, -0.5, x.shape[1]) + np.sin(np.arange(500.0))
+        base = self._fields(x, z, y, w)
+        assert base["converged"].all() and base["ok"].all() and base["bordered ok"].all()
+        for factor in (2.0**20, 2.0**-20):
+            scaled = self._fields(x, z, y, w * self._row_factors(len(w), factor))
+            for name, value in base.items():
+                assert scaled[name].tobytes() == value.tobytes(), (factor, name)
+
+    @pytest.mark.parametrize("kind", ["counts", "dirichlet"])
+    def test_decimal_factors_agree_to_rounding(self, kind):
+        x, z, w, _ = _treatment_plan(500, 40, kind, seed=42)
+        y = x @ np.linspace(0.5, -0.5, x.shape[1]) + np.sin(np.arange(500.0))
+        base = self._fields(x, z, y, w)
+        for factor in (1e3, 1e-3):
+            scaled = self._fields(x, z, y, w * self._row_factors(len(w), factor))
+            for name, value in base.items():
+                if value.dtype == float and value.ndim > 1:
+                    # Each row (and covariance matrix) on its own largest
+                    # entry's scale: small off-diagonal entries cancel.
+                    rows = value.reshape(len(value), -1)
+                    actual = scaled[name].reshape(rows.shape)
+                    _assert_rows_close_to_largest(actual, rows, rel=1e-12)
+                elif value.dtype == float:
+                    np.testing.assert_allclose(scaled[name], value, rtol=1e-12, atol=0)
+                else:
+                    np.testing.assert_array_equal(scaled[name], value)
+
+
+class TestLaterIterationOverflow:
+    def test_exp_overflow_after_the_first_step_is_silent(self, monkeypatch):
+        # x1 separates the arms of the first 40 observations, which row 0
+        # alone weights, so its slope grows until the divergence guard
+        # abandons it.  The far control at x1 = -10 sends -eta past exp's
+        # overflow point from iteration 2 on; row 1 weights everything,
+        # overlapping arms included, and converges.
+        gen = np.random.default_rng(7)
+        x1 = np.concatenate([np.linspace(-0.01, 0.01, 40), gen.uniform(-0.02, 0.02, 10), [-10.0]])
+        z = np.concatenate([x1[:40] > 0, gen.integers(0, 2, 10), [0]]).astype(float)
+        x = np.column_stack([np.ones(51), x1])
+        w = np.ones((2, 51))
+        w[0, 40:] = 0.0
+        largest = []
+        exp = np.exp
+
+        def recording_exp(a, *args, **kwargs):
+            largest.append(float(np.max(a)))
+            return exp(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = fit_logistic_weighted_many(x, z, w)
+        monkeypatch.undo()
+        assert max(largest[1:]) > np.log(np.finfo(float).max)
+        assert not batch.converged[0] and batch.separation[0]
+        assert np.isnan(batch.gamma[0]).all()
+        assert batch.converged[1] and np.isfinite(batch.gamma[1]).all()
+        old = oracle_fit_logistic_weighted_many(x, z, w)
+        np.testing.assert_array_equal(batch.converged, old.converged)
+        np.testing.assert_allclose(batch.gamma[1], old.gamma[1], rtol=1e-10)
+        assert np.all((batch.prob > 0.0) & (batch.prob < 1.0))

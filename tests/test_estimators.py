@@ -407,7 +407,7 @@ class TestBorderedOutcomeFits:
         data, spec = _sim_data(n=500, seed=31)
         rng = RngStream(31, 0).child(STREAM_KEYS["two_step_forward"])
         contrast_hat, model_var, _, diag = est._two_step_draws(data, spec, CFG, rng)
-        _, batch, e = est._dirichlet_plan(data, spec, rng, CFG.n_draws)
+        _, batch, e, _ = est._dirichlet_plan(data, spec, rng, CFG.n_draws)
         assert diag["draw_failures"] == 0 and batch.converged.all()
         for k in range(CFG.n_draws):
             single = fit_linear_weighted(ps_outcome_design(data, spec, e[k]), data.y)
@@ -443,10 +443,10 @@ class TestBorderedOutcomeFits:
         cfg = ResamplingConfig(n_draws=40, n_boot=2, stabilize=stabilize)
         rng = RngStream(32, 0).child(STREAM_KEYS["is_dr"])
         res = importance_sampling_dr(data, spec, cfg, rng)
-        xi, batch, e = est._dirichlet_plan(data, spec, rng, cfg.n_draws)
-        E = est._clamp_ps(e)
-        w = est._ipw_rows(data.z, xi, E, stabilize)
-        np.testing.assert_array_equal(est._ipw_row_max(data.z, xi, E, stabilize), w.max(axis=1))
+        xi, batch, e, H = est._dirichlet_plan(data, spec, rng, cfg.n_draws)
+        np.testing.assert_array_equal(H, clever_covariate(data.z, est._clamp_ps(e)))
+        w = est._ipw_rows(data.z, xi, H, stabilize)
+        np.testing.assert_array_equal(est._ipw_row_max(data.z, xi, H, stabilize), w.max(axis=1))
         assert res.diagnostics["draw_failures"] == 0
         assert res.diagnostics["weight_max"] == w.max()
 
@@ -904,8 +904,8 @@ class TestBootstrapSe:
         spec = CovariateSpec(s_columns=((0, est.IDENTITY),) * 2, b_columns=((0, est.IDENTITY),))
         inner = est._iptw_rows
 
-        def nan_row0(data, W, E):
-            values, _ = inner(data, W, E)
+        def nan_row0(data, W, H):
+            values, _ = inner(data, W, H)
             values[0] = np.nan
             return values, np.isfinite(values)
 
@@ -1092,8 +1092,8 @@ class TestSharedPlan:
         rng = RngStream(25, 0).child(STREAM_KEYS["iptw"])
         _, fit, e, diag = est._ps_fit(data, spec)
         W, E, H, ok, _ = est._count_plan(data, spec, rng, 20)
-        xi, dirichlet_batch, e_d = est._dirichlet_plan(data, spec, rng, 20)
-        for values in (fit.gamma, e, W, E, H, ok, xi, dirichlet_batch.gamma, e_d):
+        xi, dirichlet_batch, e_d, H_d = est._dirichlet_plan(data, spec, rng, 20)
+        for values in (fit.gamma, e, W, E, H, ok, xi, dirichlet_batch.gamma, e_d, H_d):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
         diag["extra"] = 1.0  # each caller extends its own copy
