@@ -472,7 +472,8 @@ class BatchLinear:
     that most callers never read, so each is computed on first read, from
     the fit's inputs, which must not be modified before then;
     :meth:`variance` gives one diagonal entry of ``cov`` from a batched
-    solve.  Both scale the raw-weight fit to weights of mean one per row.
+    solve.  The Gram matrices are those of the raw weight rows, so ``cov``
+    and :meth:`variance` scale their inverses by each row's mean weight.
     """
 
     def __init__(self, phi, ok, x, y, weights, cols, gram):
