@@ -340,10 +340,10 @@ def cmd_estimate(args):
         cfg = ResamplingConfig(
             n_draws=args.draws, n_boot=args.boot, stabilize=not args.no_stabilize
         )
+        base = RngStream(args.seed)
     except ValueError as err:
         raise UsageError(f"{args.data}: {err}")
 
-    base = RngStream(args.seed)
     out_rows = []
     for tag in tags:
         try:

@@ -241,7 +241,10 @@ class ResamplingConfig:
 
     def __post_init__(self):
         if self.n_draws < 2 or self.n_boot < 2:
-            raise ValueError("n_draws and n_boot must both be at least 2")
+            raise ValueError(
+                f"n_draws and n_boot must both be at least 2, got n_draws={self.n_draws}, "
+                f"n_boot={self.n_boot}"
+            )
 
 
 @dataclass
@@ -331,7 +334,7 @@ def _ps_model(data: Dataset, spec: CovariateSpec):
             "treatment-model fit diverged (IRLS abandoned it; separated treatment arms?)"
         )
     e = propensity(fit, design)
-    _freeze(design.values, fit.gamma, fit.cov, e)
+    _freeze(design.values, fit.gamma, e)
     diag = {
         "ps_converged": bool(fit.converged),
         "ps_iterations": int(fit.iterations),
@@ -766,16 +769,15 @@ def two_step_pair(data, spec, cfg, rng):
 
 def _joint_objective(y, z, base, bvals):
     """Profiled joint log-likelihood of the outcome and treatment models, as
-    a function ``loglik(gamma, phi=None, hessian=False)`` with analytic
-    derivatives.
+    a function ``loglik(gamma, hessian=False)`` with analytic derivatives.
 
     The outcome design is ``base`` plus the centered cubic basis ``C`` of
     ``e = expit(bvals @ gamma)``, and the Gaussian variance is profiled out.
-    With ``phi=None`` the outcome coefficients are solved by least squares,
-    which gives the concentrated log-likelihood in ``gamma``; by the envelope
-    theorem its gradient is the ``gamma`` block of the full gradient.  The
-    ``phi`` block is then zero by the normal equations, and it is returned
-    as zeros unless the Hessian is asked for.
+    The outcome coefficients are solved by least squares, which gives the
+    concentrated log-likelihood in ``gamma``; by the envelope theorem its
+    gradient is the ``gamma`` block of the full gradient.  The ``phi`` block
+    is zero by the normal equations, and it is returned as zeros unless the
+    Hessian is asked for.
 
     Only ``C`` moves with ``gamma`` (the variable-projection structure of
     Golub & Pereyra, 1973), so ``base'base`` and ``base'y`` are formed once,
@@ -809,19 +811,17 @@ def _joint_objective(y, z, base, bvals):
     coef[0] = 1.0
     untreated = 1.0 - z
 
-    def loglik(gamma, phi=None, hessian=False):
+    def loglik(gamma, hessian=False):
         e = expit(gamma @ bt)
         d = e - e.mean()
         cubic[0] = d
         np.multiply(d, d, out=cubic[1])
         np.multiply(cubic[1], d, out=cubic[2])
-        concentrated = phi is None
-        if concentrated:
-            moments = cubic @ rows[: 1 + p_phi].T  # C'y | C'base | C'C
-            rhs[p_base:] = moments[:, 0]
-            gram[p_base:] = moments[:, 1:]
-            gram[:p_base, p_base:] = moments[:, 1 : 1 + p_base].T
-            phi = np.linalg.solve(gram, rhs)
+        moments = cubic @ rows[: 1 + p_phi].T  # C'y | C'base | C'C
+        rhs[p_base:] = moments[:, 0]
+        gram[p_base:] = moments[:, 1:]
+        gram[:p_base, p_base:] = moments[:, 1 : 1 + p_base].T
+        phi = np.linalg.solve(gram, rhs)
         np.negative(phi, out=coef[1:])
         resid = coef @ rows[: 1 + p_phi]  # y - design @ phi
         s2 = max(float(resid @ resid) / n, 1e-300)
@@ -837,12 +837,10 @@ def _joint_objective(y, z, base, bvals):
         u = v * (rg - rg.mean())
         grad = np.zeros(p_phi + q)
         grad[p_phi:] = bt @ (u / s2 + (z - e))
-        if concentrated and not hessian:
+        if not hessian:
             return value, grad, phi, None
         score = np.concatenate([rows[1 : 1 + p_phi] @ resid, bt @ u])
         grad[:p_phi] = score[:p_phi] / s2
-        if not hessian:
-            return value, grad, phi, None
 
         # The Gaussian term -n/2 log(RSS) has Hessian
         # 2 score score' / (n s2^2) - sum_i (dr_i dr_i' + r_i d2r_i) / s2
@@ -870,14 +868,6 @@ def _joint_objective(y, z, base, bvals):
         return value, grad, phi, hess
 
     return loglik
-
-
-def _joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
-    """Profiled joint log-likelihood at ``gamma`` (and ``phi``, if given):
-    ``(value, grad, phi, hess)`` from one evaluation of
-    :func:`_joint_objective`.  It forms the fixed outcome moments for this
-    one call; a fit builds the objective once and evaluates it many times."""
-    return _joint_objective(y, z, base, bvals)(gamma, phi, hessian)
 
 
 @dataclass(frozen=True)
@@ -965,8 +955,8 @@ def joint_estimation(data, spec, cfg, rng):
     the joint optimum.
 
     The outcome block is closed-form least squares given the treatment
-    coefficients, so it is concentrated out; the Gaussian variance is
-    profiled throughout.  The moments of the fixed outcome columns are
+    coefficients, so every evaluation concentrates it out; the Gaussian
+    variance is profiled throughout.  The moments of the fixed outcome columns are
     formed once per fit (:func:`_joint_objective`): each evaluation borders
     them with the three cubic columns, and each Hessian is built without the
     (n, 3, q) basis Jacobian.  One BFGS search from the treatment-only fit

@@ -4,12 +4,12 @@ Two model families are supported: logistic regression fit by iteratively
 reweighted least squares, and Gaussian linear regression fit by weighted
 least squares in closed form.  Weights are treated as relative: rescaling
 a fit's weights by a positive constant leaves coefficients, residual
-variance and the least-squares covariance unchanged (the single logistic
-fit's ``cov`` inverts the information at the raw, frequency weights).  The
-batched kernels use the caller's weight rows as given, and the
-normalization to mean one lives in (m,)-vectors that scale the score for
-the stopping rule and the variance fields, so a power-of-two factor on a
-row changes no bit of that row's fit.
+variance and the least-squares covariance unchanged.  The logistic fits
+return coefficients and fitted probabilities only, which is all the
+estimators read of the treatment model.  The batched kernels use the
+caller's weight rows as given, and the normalization to mean one lives in
+(m,)-vectors that scale the score for the stopping rule and the variance
+fields, so a power-of-two factor on a row changes no bit of that row's fit.
 
 Batched variants (``*_many``) fit one model per row of a weight matrix
 against a shared design, plus per-row extra columns in the linear case.
@@ -44,7 +44,6 @@ __all__ = [
     "GlmError",
     "NonConvergenceError",
     "SingularDesignError",
-    "SingularInformationError",
     "fit_logistic_weighted",
     "fit_logistic_weighted_many",
     "fit_linear_weighted",
@@ -86,10 +85,6 @@ class SingularDesignError(GlmError):
         self.columns = tuple(columns)
 
 
-class SingularInformationError(GlmError):
-    """An information matrix required to be invertible is singular."""
-
-
 @dataclass
 class DesignMatrix:
     """Dense design with an explicit intercept and labelled columns."""
@@ -120,10 +115,8 @@ class FittedLogistic:
     """Logistic regression estimate with convergence metadata."""
 
     gamma: np.ndarray
-    cov: np.ndarray
     converged: bool
     iterations: int
-    max_abs_score: float
     separation: bool = False
 
 
@@ -134,7 +127,6 @@ class FittedLinear:
     phi: np.ndarray
     sigma2: float
     cov: np.ndarray
-    n_effective: float
 
 
 def _as_values(design):
@@ -240,10 +232,9 @@ def fit_logistic_weighted(x, z, weights=None):
     Returns
     -------
     FittedLogistic
-        ``cov`` is the inverse observed information at the raw weights and
-        ``max_abs_score`` the largest absolute entry of the weighted score
-        at the final iterate.  A coefficient exceeding 30 in absolute value,
-        or an iteration abandoned as diverging, sets the ``separation``
+        The coefficients with the kernel's convergence verdict and
+        iteration count.  A coefficient exceeding 30 in absolute value, or
+        an iteration abandoned as diverging, sets the ``separation``
         warning flag.
 
     Raises
@@ -260,40 +251,21 @@ def fit_logistic_weighted(x, z, weights=None):
     n, p = xv.shape
     weights = _check_weights(weights, n)
     batch = fit_logistic_weighted_many(xv, z, weights[None, :])
-    gamma = batch.gamma[0]
-    converged = bool(batch.converged[0])
-    if not converged:
+    fit = FittedLogistic(
+        gamma=batch.gamma[0],
+        converged=bool(batch.converged[0]),
+        iterations=batch.iterations,
+        separation=bool(batch.separation[0]),
+    )
+    if not fit.converged:
         suspects = _collinear_columns(xv * np.sqrt(weights)[:, None], _labels(x, p))
         if suspects:
             raise SingularDesignError(
                 f"singular weighted information; collinear columns: {suspects}",
                 columns=suspects,
             )
-
-    # The kernel's probabilities at the final iterate; NaN coefficients
-    # (an abandoned fit) give NaN throughout, as they would from expit.
-    mu = batch.prob[0] if np.all(np.isfinite(gamma)) else np.full(n, np.nan)
-    score = xv.T @ (weights / weights.mean() * (z - mu))
-    # Covariance from the observed information at the raw weights (frequency
-    # weights), so duplicating rows while halving weights changes nothing.
-    info = (xv * (weights * mu * (1.0 - mu))[:, None]).T @ xv
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError:
-        cov = np.full((p, p), np.nan)
-    fit = FittedLogistic(
-        gamma=gamma,
-        cov=cov,
-        converged=converged,
-        iterations=batch.iterations,
-        max_abs_score=float(np.abs(score).max()),
-        separation=bool(batch.separation[0]),
-    )
-    if not converged:
         raise NonConvergenceError(
-            f"IRLS did not converge in {batch.iterations} iterations "
-            f"(max |score| = {fit.max_abs_score:.3e})",
-            last_fit=fit,
+            f"IRLS did not converge in {batch.iterations} iterations", last_fit=fit
         )
     return fit
 
@@ -439,7 +411,7 @@ def fit_linear_weighted(x, y, weights=None):
     ``sigma2`` is the weighted residual sum of squares divided by the total
     weight (maximum-likelihood scale), and ``cov = sigma2 * (X'WX)^{-1}``
     with the weights normalized to mean one, so both are invariant to
-    rescaling all weights.  ``n_effective`` is the raw weight total.
+    rescaling all weights.
 
     Raises :class:`SingularDesignError` naming collinear columns when the
     weighted normal equations are rank deficient.
@@ -456,12 +428,7 @@ def fit_linear_weighted(x, y, weights=None):
             f"rank-deficient weighted design; collinear columns: {suspects}",
             columns=suspects,
         )
-    return FittedLinear(
-        phi=batch.phi[0],
-        sigma2=float(batch.sigma2[0]),
-        cov=batch.cov[0],
-        n_effective=float(n if weights is None else weights.sum()),
-    )
+    return FittedLinear(phi=batch.phi[0], sigma2=float(batch.sigma2[0]), cov=batch.cov[0])
 
 
 class BatchLinear:
@@ -564,20 +531,12 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
             a[:, i, j] = a[:, j, i] = np.einsum("ri,ri->r", wc, c)
 
     # Rows that fail are solved against the identity instead, so that the
-    # Gram stack kept for ``cov`` inverts; their ``phi`` is set to NaN.
+    # one batched solve, and the Gram stack kept for ``cov``, never meet a
+    # singular matrix; their ``phi`` is set to NaN.
     ok = _gram_rows_well_posed(a)
     if not ok.all():
         a = np.where(ok[:, None, None], a, np.eye(p)[None])
-    try:
-        phi = np.linalg.solve(a, b[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        phi = np.empty((m, p))
-        for k in range(m):
-            try:
-                phi[k] = np.linalg.solve(a[k], b[k])
-            except np.linalg.LinAlgError:
-                ok[k] = False
-                a[k] = np.eye(p)
+    phi = np.linalg.solve(a, b[:, :, None])[:, :, 0]
     phi[~ok] = np.nan
     ok &= np.all(np.isfinite(phi), axis=1)
     return BatchLinear(phi, ok, xv, y, weights, cols, a)
@@ -683,7 +642,7 @@ def ps_adjusted_treatment_variance(
     (HC0) sandwich of the outcome fit.
 
     Returns the variance (not the standard error) of the treatment
-    coefficient.
+    coefficient.  A singular treatment information raises ``LinAlgError``.
     """
     if not ps_fit.converged:
         raise ValueError("propensity fit has not converged")
@@ -707,11 +666,7 @@ def ps_adjusted_treatment_variance(
         np.einsum("iaj,i->aj", design_jacobian, resid)
         - xout.T @ np.einsum("ibj,b->ij", design_jacobian, phi)
     ) / (n * sigma2)
-    try:
-        b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
-    except np.linalg.LinAlgError:
-        raise SingularInformationError("propensity information matrix is singular") from None
-
+    b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
     v_b = b_mat.T @ b_mat / n
     tmp = np.linalg.solve(a_phi, v_b)
     avar = np.linalg.solve(a_phi, tmp.T).T

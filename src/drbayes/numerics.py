@@ -40,12 +40,20 @@ class RngStream:
     statistically independent by construction (``SeedSequence`` spawn keys
     feeding the counter-based Philox generator).  ``stream_id`` is
     conventionally the replication index; ``path`` holds sub-stream indices
-    derived with :meth:`child`.
+    derived with :meth:`child`.  A negative ``seed`` or ``stream_id`` raises
+    :class:`InvalidArgumentError`.
     """
 
     seed: int
     stream_id: int = 0
     path: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if self.seed < 0 or self.stream_id < 0:
+            raise InvalidArgumentError(
+                f"seed and stream_id must be non-negative, got seed={self.seed}, "
+                f"stream_id={self.stream_id}"
+            )
 
     def child(self, *indices: int) -> "RngStream":
         """Derive an independent sub-stream keyed by ``indices``."""

@@ -102,6 +102,9 @@ class SimConfig:
             raise ValueError(f"unknown estimators: {unknown}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
+        # The library's own rules for the resampling counts and the seed.
+        self.resampling()
+        RngStream(self.seed)
 
     def resampling(self) -> ResamplingConfig:
         return ResamplingConfig(

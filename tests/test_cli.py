@@ -127,6 +127,45 @@ class TestSimulateCommand:
     def test_unknown_estimator_exit_2(self):
         assert main(["simulate", *FAST_ARGS, "--estimators", "nope"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [("--draws", "n_draws=1"), ("--boot", "n_boot=1"), ("--seed", "seed=-1")],
+    )
+    def test_out_of_range_flag_exit_2_before_output(self, tmp_path, capsys, flag, message):
+        # One resampling draw or bootstrap resample, or a negative seed,
+        # used to end in a traceback and exit 1 after the output directory
+        # was made.
+        out = tmp_path / "out"
+        value = "-1" if flag == "--seed" else "1"
+        assert main(["simulate", *FAST_ARGS, flag, value, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("draws", 1, "n_draws=1"), ("boot", 0, "n_boot=0"), ("seed", -3, "seed=-3")],
+    )
+    def test_out_of_range_config_key_exit_2(self, tmp_path, capsys, key, value, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cli_process_prints_no_traceback(self, tmp_path):
+        src = str(Path(drbayes.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-m", "drbayes.cli", "simulate", "--draws", "1",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
 
 def _write_dataset_csv(path, n=400, seed=77):
     data = generate_data(n, RngStream(seed, 0))
@@ -197,6 +236,21 @@ class TestEstimateCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "row 2" in err and "'y'" in err
+
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        # A negative seed used to exit 0 with every estimator that draws
+        # random numbers recorded as failed.
+        path = tmp_path / "ok.csv"
+        path.write_text("y,z\n1.0,0\n2.0,1\n0.5,0\n1.5,1\n")
+        out = tmp_path / "est.csv"
+        code = main(
+            ["estimate", "--data", str(path), "--outcome", "y", "--treatment", "z",
+             "--seed", "-1", "--out", str(out)]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "seed=-1" in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_empty_s_cols_with_naive(self, tmp_path, capsys):
         path = tmp_path / "ok.csv"

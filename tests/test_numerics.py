@@ -46,6 +46,11 @@ class TestRngStream:
         after = base.child(1).generator().standard_normal(4)
         np.testing.assert_array_equal(before, after)
 
+    @pytest.mark.parametrize("seed, stream_id", [(-1, 0), (0, -1)])
+    def test_negative_seed_or_stream_rejected(self, seed, stream_id):
+        with pytest.raises(InvalidArgumentError, match="non-negative"):
+            RngStream(seed, stream_id)
+
 
 class TestExpit:
     def test_zero_is_half(self):

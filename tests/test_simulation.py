@@ -7,7 +7,7 @@ import pytest
 from drbayes import simulation
 
 from drbayes.estimators import ABS_STANDARDIZED, ABS_STD_SCALE, IDENTITY
-from drbayes.numerics import RngStream, expit
+from drbayes.numerics import InvalidArgumentError, RngStream, expit
 from drbayes.simulation import (
     SCENARIOS,
     SimConfig,
@@ -256,3 +256,10 @@ class TestRunSimulation:
             SimConfig(scenario="X")
         with pytest.raises(ValueError):
             SimConfig(estimators=("nope",))
+        # The resampling counts and the seed follow the library's own rules.
+        with pytest.raises(ValueError, match="n_draws=1"):
+            SimConfig(n_draws=1)
+        with pytest.raises(ValueError, match="n_boot=1"):
+            SimConfig(n_boot=1)
+        with pytest.raises(InvalidArgumentError, match="seed=-1"):
+            SimConfig(seed=-1)
