@@ -955,8 +955,8 @@ def joint_estimation(data, spec, cfg, rng):
     the joint optimum.
 
     The outcome block is closed-form least squares given the treatment
-    coefficients, so every evaluation concentrates it out; the Gaussian
-    variance is profiled throughout.  The moments of the fixed outcome columns are
+    coefficients, so it is concentrated out; the Gaussian variance is
+    profiled throughout.  The moments of the fixed outcome columns are
     formed once per fit (:func:`_joint_objective`): each evaluation borders
     them with the three cubic columns, and each Hessian is built without the
     (n, 3, q) basis Jacobian.  One BFGS search from the treatment-only fit

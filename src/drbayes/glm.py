@@ -5,8 +5,8 @@ reweighted least squares, and Gaussian linear regression fit by weighted
 least squares in closed form.  Weights are treated as relative: rescaling
 a fit's weights by a positive constant leaves coefficients, residual
 variance and the least-squares covariance unchanged.  The logistic fits
-return coefficients and fitted probabilities only, which is all the
-estimators read of the treatment model.  The batched kernels use the
+return no covariance: the estimators read only the treatment model's
+coefficients and fitted probabilities.  The batched kernels use the
 caller's weight rows as given, and the normalization to mean one lives in
 (m,)-vectors that scale the score for the stopping rule and the variance
 fields, so a power-of-two factor on a row changes no bit of that row's fit.

@@ -155,17 +155,6 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_cli_process_prints_no_traceback(self, tmp_path):
-        src = str(Path(drbayes.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": src}
-        out = subprocess.run(
-            [sys.executable, "-m", "drbayes.cli", "simulate", "--draws", "1",
-             "--out", str(tmp_path / "out")],
-            env=env, capture_output=True, text=True,
-        )
-        assert out.returncode == 2
-        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
-
 
 def _write_dataset_csv(path, n=400, seed=77):
     data = generate_data(n, RngStream(seed, 0))
