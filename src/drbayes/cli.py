@@ -242,7 +242,9 @@ def cmd_simulate(args):
         "estimator_failures": failure_counts,
         "warnings": warnings,
         "outputs": ["replications.csv", "summary.csv"],
-        "reproducibility": "outputs are a pure function of config (any thread count)",
+        "reproducibility": (
+            "byte-identical across reruns and worker counts at a fixed BLAS thread count"
+        ),
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
@@ -307,6 +309,13 @@ def cmd_estimate(args):
     s_cols = _parse_col_spec(args.s_cols, "s-cols")
     b_cols = _parse_col_spec(args.b_cols, "b-cols")
     tags = _parse_estimators(args.estimators) or list(ESTIMATOR_ORDER)
+    try:
+        cfg = ResamplingConfig(
+            n_draws=args.draws, n_boot=args.boot, stabilize=not args.no_stabilize
+        )
+        base = RngStream(args.seed)
+    except ValueError as err:
+        raise UsageError(str(err))
 
     fieldnames, rows = _read_table(args.data)
     needed = [args.outcome, args.treatment] + [n for n, _ in s_cols + b_cols]
@@ -337,10 +346,6 @@ def cmd_estimate(args):
             s_columns=tuple((covariate_names.index(n), t) for n, t in s_cols),
             b_columns=tuple((covariate_names.index(n), t) for n, t in b_cols),
         )
-        cfg = ResamplingConfig(
-            n_draws=args.draws, n_boot=args.boot, stabilize=not args.no_stabilize
-        )
-        base = RngStream(args.seed)
     except ValueError as err:
         raise UsageError(f"{args.data}: {err}")
 

@@ -27,7 +27,14 @@ Conventions used throughout:
   physically resampled data;
 * intervals are Wald, ``point +/- 1.96 * se``, with the posterior standard
   deviation playing the role of the standard error for the
-  resampling-based methods.
+  resampling-based methods;
+* the GLM fits report their verdicts and the estimators decide; every
+  refusal raises :class:`EstimatorError`.  A finite full-sample treatment
+  fit is used even when unconverged or separated, and flagged in the
+  diagnostics; one that IRLS abandoned is refused by :func:`_ps_model`, and
+  a singular full-sample outcome design is refused too.  The single fits'
+  refusals name the collinear columns.  More than 10% failed resampling
+  draws raise :class:`DrawFailureError`.
 """
 
 from __future__ import annotations
@@ -39,8 +46,6 @@ import numpy as np
 
 from .glm import (
     DesignMatrix,
-    NonConvergenceError,
-    SingularDesignError,
     clever_covariate,
     cubic_ps_basis,
     cubic_ps_basis_jacobian,
@@ -67,7 +72,6 @@ __all__ = [
     "treatment_design",
     "plain_outcome_design",
     "ps_outcome_design",
-    "clever_outcome_design",
     "naive",
     "g_formula_adjusted",
     "iptw",
@@ -309,29 +313,45 @@ def ps_outcome_design(data: Dataset, spec: CovariateSpec, e) -> DesignMatrix:
     return DesignMatrix(values, [*base.column_labels, "ps^1", "ps^2", "ps^3"])
 
 
-def clever_outcome_design(data: Dataset, spec: CovariateSpec, e) -> DesignMatrix:
-    """Outcome design augmented with the derived inverse-probability
-    regressor ``z/e - (1-z)/(1-e)``."""
-    base = plain_outcome_design(data, spec)
-    values = np.column_stack([base.values, clever_covariate(data.z, e)])
-    return DesignMatrix(values, [*base.column_labels, "clever"])
-
-
 def _clamp_ps(e):
     return np.clip(e, WEIGHT_CLIP, 1.0 - WEIGHT_CLIP)
 
 
+def _refusal(what, design, unexplained=""):
+    """:class:`EstimatorError` for a fit that cannot be used, naming the
+    columns of ``design`` beyond its numerical rank (pivoted QR), or else
+    adding ``unexplained``.  Only a refused fit pays for this, so scipy is
+    imported here."""
+    from scipy.linalg import qr
+
+    _, r, perm = qr(design.values, mode="economic", pivoting=True)
+    diag = np.abs(np.diag(r))
+    tol = diag.max(initial=0.0) * max(design.values.shape) * np.finfo(float).eps
+    suspects = [design.column_labels[j] for j in sorted(perm[int(np.sum(diag > tol)) :])]
+    if suspects:
+        return EstimatorError(f"{what}; collinear columns: {suspects}")
+    return EstimatorError(what + unexplained)
+
+
+def _outcome_fit(design, y):
+    """Least-squares outcome fit of ``design``, refused when singular."""
+    fit = fit_linear_weighted(design, y)
+    if not fit.ok:
+        raise _refusal("outcome design is singular", design)
+    return fit
+
+
 @_per_dataset
 def _ps_model(data: Dataset, spec: CovariateSpec):
-    """Fit the treatment model, tolerating non-convergence (flagged)."""
+    """Fit the treatment model.  This decides, for every estimator that
+    reads the full-sample treatment fit, whether the fit is used: a finite
+    fit is, with its convergence and separation verdicts flagged in
+    ``diag``; a fit IRLS abandoned (NaN coefficients) is refused."""
     design = treatment_design(data, spec)
-    try:
-        fit = fit_logistic_weighted(design, data.z)
-    except NonConvergenceError as err:
-        fit = err.last_fit
+    fit = fit_logistic_weighted(design, data.z)
     if not np.all(np.isfinite(fit.gamma)):
-        raise EstimatorError(
-            "treatment-model fit diverged (IRLS abandoned it; separated treatment arms?)"
+        raise _refusal(
+            "treatment-model fit abandoned by IRLS", design, " (diverged: separated arms?)"
         )
     e = propensity(fit, design)
     _freeze(design.values, fit.gamma, e)
@@ -489,7 +509,7 @@ def g_formula_adjusted(data, spec, cfg=None, rng=None):
     """Covariate-adjusted regression estimate: fit the outcome model by
     least squares and standardize over the empirical covariate distribution
     (equal to the treatment coefficient for this additive design)."""
-    fit = fit_linear_weighted(plain_outcome_design(data, spec), data.y)
+    fit = _outcome_fit(plain_outcome_design(data, spec), data.y)
     return _result("adjusted", fit.phi[Z_COL], observed_info_se_treatment(fit))
 
 
@@ -533,14 +553,13 @@ def _or_ps_parts(data, spec):
     ``or_ps_sandwich``, fit once per data set; callers copy ``diag``."""
     ps_design, ps_fit, e, diag = _ps_fit(data, spec)
     design, dropped = ps_outcome_design(data, spec, e), ()
-    try:
-        fit = fit_linear_weighted(design, data.y)
-    except SingularDesignError:
+    fit = fit_linear_weighted(design, data.y)
+    if not fit.ok:
         # A rank deficiency can be attributed to any member of a collinear
         # group, so the whole derived basis is dropped; the base columns are
         # part of the estimator's contract.
         design, dropped = plain_outcome_design(data, spec), ("ps^1", "ps^2", "ps^3")
-        fit = fit_linear_weighted(design, data.y)
+        fit = _outcome_fit(design, data.y)
         diag["dropped_columns"] = list(dropped)
     _freeze(design.values, fit.phi, fit.cov)
     return _OrPsParts(ps_design, ps_fit, e, design, fit, dropped, diag)
@@ -1076,71 +1095,27 @@ def importance_sampling_dr(data, spec, cfg, rng):
 # registry
 
 
-ESTIMATOR_ORDER = [
-    "naive",
-    "adjusted",
-    "iptw",
-    "or_ps_info",
-    "or_ps_sandwich",
-    "dr",
-    "clever",
-    "or_iptw",
-    "two_step_forward",
-    "two_step_vardecomp",
-    "joint",
-    "is",
-    "is_dr",
-]
-
-ESTIMATORS = {
-    "naive": naive,
-    "adjusted": g_formula_adjusted,
-    "iptw": iptw,
-    "or_ps_info": or_ps_info,
-    "or_ps_sandwich": or_ps_sandwich,
-    "dr": dr,
-    "clever": clever_covariate_regression,
-    "or_iptw": or_iptw,
-    "two_step_forward": two_step_forward,
-    "two_step_vardecomp": two_step_vardecomp,
-    "joint": joint_estimation,
-    "is": importance_sampling,
-    "is_dr": importance_sampling_dr,
-}
-
-ESTIMATOR_LABELS = {
-    "naive": "Naive",
-    "adjusted": "Adjusted",
-    "iptw": "IPTW",
-    "or_ps_info": "OR/PS (obs. information)",
-    "or_ps_sandwich": "OR/PS (adj. sandwich)",
-    "dr": "DR",
-    "clever": "Clever covariate",
-    "or_iptw": "OR/IPTW",
-    "two_step_forward": "Two-step (forward sampling)",
-    "two_step_vardecomp": "Two-step (variance decomposition)",
-    "joint": "Joint estimation",
-    "is": "Importance sampling",
-    "is_dr": "Importance sampling/DR",
-}
-
-# Sub-stream keys per estimator.  Resampling estimators share a key and with
-# it one plan per data set: the bootstrap ones a count matrix (key 3), the
-# two-step and importance-sampling ones a Dirichlet matrix (key 9).  They are
-# correlated within a replication; each one's distribution is unchanged.
-STREAM_KEYS = {
-    "naive": 1,
-    "adjusted": 2,
-    "iptw": 3,
-    "or_ps_info": 4,
-    "or_ps_sandwich": 5,
-    "dr": 3,
-    "clever": 3,
-    "or_iptw": 3,
-    "two_step_forward": 9,
-    "two_step_vardecomp": 9,
-    "joint": 10,
-    "is": 9,
-    "is_dr": 9,
-}
-
+# One row per estimator: (tag, function, display label, stream key).
+# Resampling estimators share a stream key and with it one plan per data
+# set: the bootstrap ones a count matrix (key 3), the two-step and
+# importance-sampling ones a Dirichlet matrix (key 9).  They are correlated
+# within a replication; each one's distribution is unchanged.
+_REGISTRY = (
+    ("naive", naive, "Naive", 1),
+    ("adjusted", g_formula_adjusted, "Adjusted", 2),
+    ("iptw", iptw, "IPTW", 3),
+    ("or_ps_info", or_ps_info, "OR/PS (obs. information)", 4),
+    ("or_ps_sandwich", or_ps_sandwich, "OR/PS (adj. sandwich)", 5),
+    ("dr", dr, "DR", 3),
+    ("clever", clever_covariate_regression, "Clever covariate", 3),
+    ("or_iptw", or_iptw, "OR/IPTW", 3),
+    ("two_step_forward", two_step_forward, "Two-step (forward sampling)", 9),
+    ("two_step_vardecomp", two_step_vardecomp, "Two-step (variance decomposition)", 9),
+    ("joint", joint_estimation, "Joint estimation", 10),
+    ("is", importance_sampling, "Importance sampling", 9),
+    ("is_dr", importance_sampling_dr, "Importance sampling/DR", 9),
+)
+ESTIMATOR_ORDER = [tag for tag, _, _, _ in _REGISTRY]
+ESTIMATORS = {tag: function for tag, function, _, _ in _REGISTRY}
+ESTIMATOR_LABELS = {tag: label for tag, _, label, _ in _REGISTRY}
+STREAM_KEYS = {tag: key for tag, _, _, key in _REGISTRY}

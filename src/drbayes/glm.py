@@ -1,31 +1,20 @@
-"""Weighted generalized linear model fitting and variance estimators.
+"""Weighted generalized linear model fits and variance estimators.
 
-Two model families are supported: logistic regression fit by iteratively
-reweighted least squares, and Gaussian linear regression fit by weighted
-least squares in closed form.  Weights are treated as relative: rescaling
-a fit's weights by a positive constant leaves coefficients, residual
-variance and the least-squares covariance unchanged.  The logistic fits
-return no covariance: the estimators read only the treatment model's
-coefficients and fitted probabilities.  The batched kernels use the
-caller's weight rows as given, and the normalization to mean one lives in
-(m,)-vectors that scale the score for the stopping rule and the variance
-fields, so a power-of-two factor on a row changes no bit of that row's fit.
+Two families: logistic regression by iteratively reweighted least squares
+(IRLS), and Gaussian linear regression by weighted least squares in closed
+form.  Weights are relative: rescaling a fit's weights by a positive
+constant leaves its coefficients, residual variance and least-squares
+covariance unchanged.
 
-Batched variants (``*_many``) fit one model per row of a weight matrix
-against a shared design, plus per-row extra columns in the linear case.
-They exist because the resampling estimators refit the same small model
-hundreds of times per dataset; a row-batched Newton step is an order of
-magnitude faster than a Python loop over fits.  Each family has one kernel:
-the single fit is the batched fit of one weight row, so a single logistic
-fit stops by the same score rule, and a single linear fit is judged by the
-same rank rule, as every batched row.  Two shortcuts keep the batched
-kernels' common case cheap: every IRLS row starts from the same
-coefficients, so the first step is computed from one vector of fitted
-probabilities, and the rank rule is decided by one batched Cholesky
-factorization, falling back to eigenvalues only when some row fails.  The
-kernels' (m, n) work is otherwise kept to the passes that carry
-information: no normalized copy of the weights, the IRLS probabilities
-formed in place from one product, and its weights in two passes.
+Each family has one kernel, batched over the rows of a weight matrix
+(``*_many``) against a shared design, plus per-row extra columns in the
+linear case; a single fit is the kernel's one-row call, so every fit is
+judged by the same stopping and rank rules.  The fits report and do not
+decide: each returns its verdict with its estimate (``converged`` and
+``separation`` for logistic fits, with NaN coefficients where IRLS
+abandoned a fit; ``ok`` for linear fits), and raises only ``ValueError``,
+for invalid arguments.  Whether a flagged fit is used is the caller's
+decision.
 """
 
 from __future__ import annotations
@@ -41,9 +30,6 @@ __all__ = [
     "DesignMatrix",
     "FittedLogistic",
     "FittedLinear",
-    "GlmError",
-    "NonConvergenceError",
-    "SingularDesignError",
     "fit_logistic_weighted",
     "fit_logistic_weighted_many",
     "fit_linear_weighted",
@@ -63,26 +49,6 @@ SEPARATION_BOUND = 30.0
 DIVERGENCE_BOUND = 1e3
 MAX_IRLS_ITERATIONS = 100
 SCORE_TOL = 1e-8
-
-
-class GlmError(Exception):
-    """Base class for model-fitting failures."""
-
-
-class NonConvergenceError(GlmError):
-    """IRLS failed to converge; the last iterate is attached as ``last_fit``."""
-
-    def __init__(self, message, last_fit=None):
-        super().__init__(message)
-        self.last_fit = last_fit
-
-
-class SingularDesignError(GlmError):
-    """The (weighted) design is rank deficient; suspects in ``columns``."""
-
-    def __init__(self, message, columns=()):
-        super().__init__(message)
-        self.columns = tuple(columns)
 
 
 @dataclass
@@ -122,34 +88,16 @@ class FittedLogistic:
 
 @dataclass
 class FittedLinear:
-    """Weighted least squares estimate."""
+    """Weighted least squares estimate; ``ok`` is the rank verdict."""
 
     phi: np.ndarray
     sigma2: float
     cov: np.ndarray
+    ok: bool
 
 
 def _as_values(design):
     return design.values if isinstance(design, DesignMatrix) else np.asarray(design, float)
-
-
-def _labels(design, p):
-    if isinstance(design, DesignMatrix):
-        return list(design.column_labels)
-    return [f"col{j}" for j in range(p)]
-
-
-def _collinear_columns(xw, labels):
-    """Labels of columns beyond the numerical rank of ``xw`` (QR pivoting).
-    Only failing fits call it, so scipy is imported here, not with the
-    module."""
-    from scipy.linalg import qr
-
-    _, r, perm = qr(xw, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max(initial=0.0) * max(xw.shape) * np.finfo(float).eps
-    rank = int(np.sum(diag > tol))
-    return [labels[j] for j in sorted(perm[rank:])]
 
 
 # Relative eigenvalue floor, on the correlation scale, below which normal
@@ -232,42 +180,22 @@ def fit_logistic_weighted(x, z, weights=None):
     Returns
     -------
     FittedLogistic
-        The coefficients with the kernel's convergence verdict and
-        iteration count.  A coefficient exceeding 30 in absolute value, or
-        an iteration abandoned as diverging, sets the ``separation``
-        warning flag.
-
-    Raises
-    ------
-    NonConvergenceError
-        When IRLS stops without converging (iteration limit reached, or
-        abandoned as diverging, which leaves NaN coefficients); the last
-        iterate rides along.
-    SingularDesignError
-        When the fit fails and the weighted design is rank deficient.
+        The coefficients with the kernel's verdict and iteration count.
+        ``converged`` is false when IRLS reached its iteration limit or
+        abandoned the fit; an abandoned fit (diverging, or a singular
+        information matrix) has NaN coefficients.  A coefficient exceeding
+        30 in absolute value, or a fit abandoned as diverging, sets the
+        ``separation`` warning flag.
     """
     xv = _as_values(x)
-    z = np.asarray(z, dtype=float)
-    n, p = xv.shape
-    weights = _check_weights(weights, n)
+    weights = _check_weights(weights, xv.shape[0])
     batch = fit_logistic_weighted_many(xv, z, weights[None, :])
-    fit = FittedLogistic(
+    return FittedLogistic(
         gamma=batch.gamma[0],
         converged=bool(batch.converged[0]),
         iterations=batch.iterations,
         separation=bool(batch.separation[0]),
     )
-    if not fit.converged:
-        suspects = _collinear_columns(xv * np.sqrt(weights)[:, None], _labels(x, p))
-        if suspects:
-            raise SingularDesignError(
-                f"singular weighted information; collinear columns: {suspects}",
-                columns=suspects,
-            )
-        raise NonConvergenceError(
-            f"IRLS did not converge in {batch.iterations} iterations", last_fit=fit
-        )
-    return fit
 
 
 @dataclass
@@ -413,22 +341,16 @@ def fit_linear_weighted(x, y, weights=None):
     with the weights normalized to mean one, so both are invariant to
     rescaling all weights.
 
-    Raises :class:`SingularDesignError` naming collinear columns when the
-    weighted normal equations are rank deficient.
+    ``ok`` is false when the weighted normal equations are rank deficient,
+    and ``phi`` is then not finite.
     """
     xv = _as_values(x)
-    n, p = xv.shape
     if weights is not None:
-        weights = _check_weights(weights, n)
-    batch = fit_linear_weighted_many(xv, y, None if weights is None else weights[None, :])
-    if not batch.ok[0]:
-        scale = 1.0 if weights is None else np.sqrt(weights / weights.mean())[:, None]
-        suspects = _collinear_columns(xv * scale, _labels(x, p))
-        raise SingularDesignError(
-            f"rank-deficient weighted design; collinear columns: {suspects}",
-            columns=suspects,
-        )
-    return FittedLinear(phi=batch.phi[0], sigma2=float(batch.sigma2[0]), cov=batch.cov[0])
+        weights = _check_weights(weights, xv.shape[0])[None, :]
+    batch = fit_linear_weighted_many(xv, y, weights)
+    return FittedLinear(
+        phi=batch.phi[0], sigma2=float(batch.sigma2[0]), cov=batch.cov[0], ok=bool(batch.ok[0])
+    )
 
 
 class BatchLinear:
@@ -644,8 +566,6 @@ def ps_adjusted_treatment_variance(
     Returns the variance (not the standard error) of the treatment
     coefficient.  A singular treatment information raises ``LinAlgError``.
     """
-    if not ps_fit.converged:
-        raise ValueError("propensity fit has not converged")
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     phi = outcome_fit.phi

@@ -18,7 +18,7 @@ from .estimators import (
     CovariateSpec,
     Dataset,
     ResamplingConfig,
-    clever_outcome_design,
+    plain_outcome_design,
     treatment_design,
 )
 from .glm import DesignMatrix, clever_covariate, fit_linear_weighted, fit_logistic_weighted
@@ -87,6 +87,14 @@ def check_uniform_weights_match_dr():
         residual,
         f"{bayes:.12f} vs {frequentist:.12f}",
     )
+
+
+def clever_outcome_design(data: Dataset, spec: CovariateSpec, e) -> DesignMatrix:
+    """Outcome design augmented with the derived inverse-probability
+    regressor ``z/e - (1-z)/(1-e)``."""
+    base = plain_outcome_design(data, spec)
+    values = np.column_stack([base.values, clever_covariate(data.z, e)])
+    return DesignMatrix(values, [*base.column_labels, "clever"])
 
 
 def _clever_model_dr_terms(data, spec, corrupt_residual_sign=False):

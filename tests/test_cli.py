@@ -155,6 +155,17 @@ class TestSimulateCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_cli_process_prints_no_traceback(self, tmp_path):
+        src = str(Path(drbayes.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-m", "drbayes.cli", "simulate", "--draws", "1",
+             "--out", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True,
+        )
+        assert out.returncode == 2
+        assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
+
 
 def _write_dataset_csv(path, n=400, seed=77):
     data = generate_data(n, RngStream(seed, 0))
@@ -240,6 +251,21 @@ class TestEstimateCommand:
         captured = capsys.readouterr()
         assert "seed=-1" in captured.err and captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [("--seed", "-1", "seed=-1"), ("--draws", "1", "n_draws=1"), ("--boot", "1", "n_boot=1")],
+    )
+    def test_bad_flag_blamed_before_data_is_read(self, tmp_path, capsys, flag, value, message):
+        missing = tmp_path / "absent.csv"
+        code = main(
+            ["estimate", "--data", str(missing), "--outcome", "y", "--treatment", "z",
+             flag, value]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert "absent.csv" not in err
 
     def test_empty_s_cols_with_naive(self, tmp_path, capsys):
         path = tmp_path / "ok.csv"

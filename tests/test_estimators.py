@@ -23,7 +23,6 @@ from drbayes.estimators import (
     naive,
     or_iptw,
     or_ps_info,
-    clever_outcome_design,
     plain_outcome_design,
     ps_outcome_design,
     treatment_design,
@@ -31,6 +30,7 @@ from drbayes.estimators import (
     two_step_vardecomp,
     _joint_objective,
 )
+from drbayes import glm
 from drbayes.glm import (
     clever_covariate,
     cubic_ps_basis,
@@ -40,6 +40,7 @@ from drbayes.glm import (
     propensity,
 )
 from drbayes.numerics import RngStream, expit
+from drbayes.selfcheck import clever_outcome_design
 import drbayes.simulation as sim
 from drbayes.simulation import SimConfig, apply_scenario, generate_data, run_replication
 
@@ -170,6 +171,35 @@ class TestResultInvariants:
         a = ESTIMATORS[tag](data, spec, CFG, rng)
         b = ESTIMATORS[tag](data, spec, CFG, rng)
         assert a.point == b.point and a.se == b.se
+
+
+class TestRegistry:
+    def test_order_functions_labels_and_stream_keys(self):
+        # The four public names are built from one table; this pins them.
+        assert ESTIMATOR_ORDER == list(ESTIMATORS) == list(est.ESTIMATOR_LABELS) == list(STREAM_KEYS)
+        assert [
+            (tag, ESTIMATORS[tag].__name__, est.ESTIMATOR_LABELS[tag], STREAM_KEYS[tag])
+            for tag in ESTIMATOR_ORDER
+        ] == [
+            ("naive", "naive", "Naive", 1),
+            ("adjusted", "g_formula_adjusted", "Adjusted", 2),
+            ("iptw", "iptw", "IPTW", 3),
+            ("or_ps_info", "or_ps_info", "OR/PS (obs. information)", 4),
+            ("or_ps_sandwich", "or_ps_sandwich", "OR/PS (adj. sandwich)", 5),
+            ("dr", "dr", "DR", 3),
+            ("clever", "clever_covariate_regression", "Clever covariate", 3),
+            ("or_iptw", "or_iptw", "OR/IPTW", 3),
+            ("two_step_forward", "two_step_forward", "Two-step (forward sampling)", 9),
+            (
+                "two_step_vardecomp",
+                "two_step_vardecomp",
+                "Two-step (variance decomposition)",
+                9,
+            ),
+            ("joint", "joint_estimation", "Joint estimation", 10),
+            ("is", "importance_sampling", "Importance sampling", 9),
+            ("is_dr", "importance_sampling_dr", "Importance sampling/DR", 9),
+        ]
 
 
 class TestNaive:
@@ -370,6 +400,55 @@ class TestTreatmentFitPolicy:
         monkeypatch.setattr(est, "fit_logistic_weighted", counting)
         self._assert_each_raises(*self._separated())
         assert len(calls) == 1
+
+
+class TestFailurePolicy:
+    """Every refusal is an :class:`EstimatorError`; the GLM fits only
+    report their verdicts."""
+
+    @staticmethod
+    def _with_duplicate(model):
+        # x2 copied into a fifth column "dup", added to the outcome or the
+        # treatment covariates of scenario I.
+        data, spec = _sim_data(n=200, seed=40)
+        data = Dataset(
+            data.y, data.z, np.column_stack([data.x, data.x[:, 1]]), (*data.column_names, "dup")
+        )
+        dup = ((4, est.IDENTITY),)
+        if model == "outcome":
+            return data, CovariateSpec(spec.s_columns + dup, spec.b_columns)
+        return data, CovariateSpec(spec.s_columns, spec.b_columns + dup)
+
+    @pytest.mark.parametrize(
+        "model, succeeding, naming",
+        [
+            ("outcome", {"naive", "iptw"}, {"adjusted", "or_ps_info", "or_ps_sandwich"}),
+            ("treatment", {"naive", "adjusted"}, set(ESTIMATOR_ORDER) - {"naive", "adjusted"}),
+        ],
+    )
+    def test_duplicated_column_fails_as_estimator_error(self, model, succeeding, naming):
+        data, spec = self._with_duplicate(model)
+        cfg = ResamplingConfig(n_draws=20, n_boot=20)
+        for tag in ESTIMATOR_ORDER:
+            rng = RngStream(41, 0).child(STREAM_KEYS[tag])
+            if tag in succeeding:
+                assert math.isfinite(ESTIMATORS[tag](data, spec, cfg, rng).point)
+                continue
+            with pytest.raises(EstimatorError) as err:
+                ESTIMATORS[tag](data, spec, cfg, rng)
+            if tag in naming:
+                assert str(err.value).endswith("collinear columns: ['dup']"), tag
+
+    def test_unconverged_finite_treatment_fit_is_used_and_flagged(self, monkeypatch):
+        # Two IRLS iterations leave the full-sample treatment fit finite but
+        # unconverged: both outcome-regression estimators use it.
+        monkeypatch.setattr(glm, "MAX_IRLS_ITERATIONS", 2)
+        data, spec = _sim_data(n=200, seed=40)
+        for tag in ("or_ps_info", "or_ps_sandwich"):
+            res = ESTIMATORS[tag](data, spec, CFG, RngStream(42, 0).child(STREAM_KEYS[tag]))
+            assert math.isfinite(res.point) and math.isfinite(res.se) and res.se > 0.0
+            assert res.diagnostics["ps_converged"] is False
+            assert res.diagnostics["ps_iterations"] == 2
 
 
 class TestTwoStep:

@@ -3,8 +3,6 @@ import pytest
 
 from drbayes.glm import (
     DesignMatrix,
-    NonConvergenceError,
-    SingularDesignError,
     clever_covariate,
     cubic_ps_basis,
     cubic_ps_basis_jacobian,
@@ -91,12 +89,10 @@ class TestLogisticFit:
         # an arbitrary large coefficient as converged.
         x = np.column_stack([np.ones(8), 0.01 * np.r_[-np.ones(4), np.ones(4)]])
         z = np.r_[np.zeros(4), np.ones(4)]
-        with pytest.raises(NonConvergenceError) as exc:
-            fit_logistic_weighted(x, z)
-        last = exc.value.last_fit
-        assert last.separation
-        assert not last.converged
-        assert not np.all(np.isfinite(last.gamma))
+        fit = fit_logistic_weighted(x, z)
+        assert fit.separation
+        assert not fit.converged
+        assert not np.all(np.isfinite(fit.gamma))
 
     def test_single_fit_is_one_batched_row(self):
         x, z = _logistic_data(200, [0.2, 0.5, -0.3], seed=25)
@@ -107,14 +103,14 @@ class TestLogisticFit:
         assert fit.iterations == batch.iterations
         assert fit.converged and batch.converged[0]
 
-    def test_collinear_design_names_columns(self):
+    def test_collinear_design_is_abandoned(self):
         x, z = _logistic_data(40, [0.1, 0.5], seed=26)
         design = DesignMatrix(
             np.column_stack([x, 2.0 * x[:, 1]]), ["intercept", "a", "a_copy"]
         )
-        with pytest.raises(SingularDesignError) as exc:
-            fit_logistic_weighted(design, z)
-        assert set(exc.value.columns) & {"a", "a_copy"}
+        fit = fit_logistic_weighted(design, z)
+        assert not fit.converged
+        assert not np.any(np.isfinite(fit.gamma))
 
     def test_all_zero_weights_rejected(self):
         x, z = _logistic_data(20, [0.0, 0.3], seed=5)
@@ -177,12 +173,11 @@ class TestLinearFit:
         resid = x.T @ (w * (y - x @ fit.phi))
         assert np.abs(resid).max() < 1e-8 * max(np.abs(x.T @ (w * y)).max(), 1.0)
 
-    def test_singular_design_names_columns(self):
+    def test_singular_design_is_flagged(self):
         x = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
-        design = DesignMatrix(x, ["intercept", "a", "a_copy"])
-        with pytest.raises(SingularDesignError) as exc:
-            fit_linear_weighted(design, np.arange(10.0))
-        assert set(exc.value.columns) & {"a", "a_copy"}
+        fit = fit_linear_weighted(DesignMatrix(x, ["intercept", "a", "a_copy"]), np.arange(10.0))
+        assert not fit.ok
+        assert not np.any(np.isfinite(fit.phi))
 
     def test_batch_matches_single_fits(self):
         gen = RngStream(14).generator()
@@ -199,7 +194,7 @@ class TestLinearFit:
 
     def test_single_fit_is_one_batched_row(self):
         # Weighted and unweighted, the single fit returns the bytes of the
-        # batched kernel's one row; only its rank failure raises.
+        # batched kernel's one row, its rank verdict included.
         gen = RngStream(16).generator()
         x = np.column_stack([np.ones(50), gen.standard_normal((50, 3))])
         y = gen.standard_normal(50)
@@ -207,14 +202,13 @@ class TestLinearFit:
         for weights, rows in ((None, None), (w, w[None, :])):
             single = fit_linear_weighted(x, y, weights=weights)
             batch = fit_linear_weighted_many(x, y, rows)
-            assert batch.ok.shape == (1,) and batch.ok[0]
+            assert batch.ok.shape == (1,) and batch.ok[0] and single.ok
             np.testing.assert_array_equal(single.phi, batch.phi[0])
             assert single.sigma2 == batch.sigma2[0]
             np.testing.assert_array_equal(single.cov, batch.cov[0])
         collinear = np.column_stack([x, x[:, 1] - x[:, 2]])
         assert not fit_linear_weighted_many(collinear, y, w[None, :]).ok[0]
-        with pytest.raises(SingularDesignError):
-            fit_linear_weighted(collinear, y, weights=w)
+        assert not fit_linear_weighted(collinear, y, weights=w).ok
 
     def test_batch_per_draw_designs(self):
         # Per-draw designs: a shared intercept plus two per-row columns.
