@@ -17,7 +17,7 @@ from .estimators import (
     ResamplingConfig,
 )
 from .numerics import RngStream
-from .simulation import SimConfig, generate_data, run_simulation, summarize
+from .simulation import SimConfig, generate_data, run_estimators, run_simulation, summarize
 
 __all__ = [
     "__version__",
@@ -31,6 +31,7 @@ __all__ = [
     "ESTIMATOR_LABELS",
     "SimConfig",
     "generate_data",
+    "run_estimators",
     "run_simulation",
     "summarize",
 ]

@@ -9,12 +9,16 @@ seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
 import json
 import math
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .estimators import (
@@ -23,44 +27,41 @@ from .estimators import (
     ESTIMATOR_ORDER,
     ESTIMATORS,
     IDENTITY,
-    STREAM_KEYS,
     CovariateSpec,
     Dataset,
     ResamplingConfig,
 )
 from .numerics import RngStream
 from .selfcheck import run_selfcheck
-from .simulation import SimConfig, run_simulation
+from .simulation import (
+    SCENARIOS,
+    SimConfig,
+    SimulationRow,
+    error_text,
+    run_estimators,
+    run_simulation,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 
-_CONFIG_KEYS = {
-    "n",
-    "reps",
-    "seed",
-    "scenario",
-    "estimators",
-    "draws",
-    "boot",
-    "threads",
-    "stabilize",
-    "out",
+# Config-file and manifest keys: the SimConfig field each sets (``out`` sets
+# none) and the JSON type its value must have (``estimators`` takes a list
+# or a comma-separated string).  Unset keys take SimConfig's defaults.
+_CONFIG_FIELDS = {
+    "n": ("n", int),
+    "reps": ("reps", int),
+    "seed": ("seed", int),
+    "scenario": ("scenario", str),
+    "estimators": ("estimators", None),
+    "draws": ("n_draws", int),
+    "boot": ("n_boot", int),
+    "stabilize": ("stabilize", bool),
+    "threads": ("threads", int),
+    "out": (None, str),
 }
-_INTEGER_CONFIG_KEYS = ("n", "reps", "seed", "draws", "boot", "threads")
-
-SUMMARY_HEADER = [
-    "estimator",
-    "mean_point",
-    "rel_bias_pct",
-    "mc_sd",
-    "mean_se",
-    "mc_error",
-    "coverage_pct",
-    "n_failed",
-    "incomplete",
-]
+_TYPE_NAMES = {int: "an integer", bool: "a JSON boolean", str: "a JSON string"}
 
 
 class UsageError(Exception):
@@ -70,6 +71,13 @@ class UsageError(Exception):
 def _num(x):
     """Format a float with 17 significant digits (byte-stable output)."""
     return format(float(x), ".17g")
+
+
+def _cell(value):
+    """One CSV cell: floats via :func:`_num`, booleans as 1/0."""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return _num(value) if isinstance(value, float) else str(value)
 
 
 def _parse_estimators(value):
@@ -94,101 +102,70 @@ def _load_config_file(path):
         raise UsageError(f"config file is not valid JSON: {err}")
     if not isinstance(raw, dict):
         raise UsageError("config file must hold a JSON object with flat keys")
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - set(_CONFIG_FIELDS)
     if unknown:
         raise UsageError(f"unknown config keys: {sorted(unknown)}")
-    for key in _INTEGER_CONFIG_KEYS:
+    for key, value in raw.items():
+        kind = _CONFIG_FIELDS[key][1]
         # type(), not isinstance(): JSON true/false must not pass as 1/0.
-        if key in raw and type(raw[key]) is not int:
-            raise UsageError(f"config key {key!r} must be an integer, got {raw[key]!r}")
-    if not isinstance(raw.get("stabilize", True), bool):
-        raise UsageError(f"config key 'stabilize' must be a JSON boolean, got {raw['stabilize']!r}")
-    for key in ("out", "scenario"):
-        if key in raw and not isinstance(raw[key], str):
-            raise UsageError(f"config key {key!r} must be a JSON string, got {raw[key]!r}")
+        if kind is not None and type(value) is not kind:
+            raise UsageError(f"config key {key!r} must be {_TYPE_NAMES[kind]}, got {value!r}")
     return raw
 
 
 def _sim_config_from_args(args):
-    file_cfg = _load_config_file(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return file_cfg[key]
-        return default
-
-    estimators = _parse_estimators(pick(args.estimators, "estimators", None))
+    """SimConfig and output directory: flags override the config file, which
+    overrides SimConfig's defaults."""
+    values = _load_config_file(args.config) if args.config else {}
+    for key in _CONFIG_FIELDS:
+        if getattr(args, key, None) is not None:
+            values[key] = getattr(args, key)
+    tags = _parse_estimators(values.pop("estimators", None))
+    if tags:
+        values["estimators"] = tuple(tags)
+    out_dir = Path(values.pop("out", "."))
     try:
-        config = SimConfig(
-            n=int(pick(args.n, "n", 500)),
-            reps=int(pick(args.reps, "reps", 1000)),
-            seed=int(pick(args.seed, "seed", 2024)),
-            scenario=pick(args.scenario, "scenario", "I"),
-            estimators=tuple(estimators) if estimators else tuple(ESTIMATOR_ORDER),
-            n_draws=int(pick(args.draws, "draws", 200)),
-            n_boot=int(pick(args.boot, "boot", 200)),
-            stabilize=bool(pick(None, "stabilize", True)),
-            threads=int(pick(args.threads, "threads", 1)),
-        )
+        config = SimConfig(**{_CONFIG_FIELDS[key][0]: v for key, v in values.items()})
     except ValueError as err:
         raise UsageError(str(err))
-    out_dir = Path(pick(args.out, "out", "."))
     return config, out_dir
 
 
 def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
+    """Write ``header`` and ``rows`` to ``path``, or to stdout when ``path``
+    is empty."""
+    with open(path, "w", newline="") if path else contextlib.nullcontext(sys.stdout) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _summary_rows(rows):
-    out = []
-    for row in rows:
-        out.append(
-            [
-                row.estimator,
-                _num(row.mean_point),
-                _num(row.rel_bias_pct),
-                _num(row.mc_sd),
-                _num(row.mean_se),
-                _num(row.mc_error),
-                _num(row.coverage_pct),
-                str(row.n_failed),
-                "1" if row.incomplete else "0",
-            ]
-        )
-    return out
+def _write_records(path, records, columns):
+    """CSV of the dataclass ``records``, one :func:`_cell` per field in
+    ``columns``."""
+    _write_csv(path, columns, ([_cell(getattr(r, c)) for c in columns] for r in records))
 
 
 def _text_table(rows):
     header = ["Estimator", "Point", "Bias %", "SD", "SE", "MC err", "Cover %", "Fail"]
-    body = []
-    for row in rows:
-        body.append(
-            [
-                ESTIMATOR_LABELS.get(row.estimator, row.estimator),
-                f"{row.mean_point:.3f}",
-                f"{row.rel_bias_pct:+.1f}",
-                f"{row.mc_sd:.3f}",
-                f"{row.mean_se:.3f}",
-                f"{row.mc_error:.3f}",
-                f"{row.coverage_pct:.1f}",
-                str(row.n_failed),
-            ]
-        )
+    body = [
+        [
+            ESTIMATOR_LABELS.get(row.estimator, row.estimator),
+            f"{row.mean_point:.3f}",
+            f"{row.rel_bias_pct:+.1f}",
+            f"{row.mc_sd:.3f}",
+            f"{row.mean_se:.3f}",
+            f"{row.mc_error:.3f}",
+            f"{row.coverage_pct:.1f}",
+            str(row.n_failed),
+        ]
+        for row in rows
+    ]
     widths = [max(len(r[j]) for r in [header, *body]) for j in range(len(header))]
-    lines = []
-    for r in [header, *body]:
-        lines.append(
-            "  ".join(
-                r[j].ljust(widths[j]) if j == 0 else r[j].rjust(widths[j])
-                for j in range(len(header))
-            )
-        )
+    lines = [
+        r[0].ljust(widths[0]) + "".join("  " + c.rjust(w) for c, w in zip(r[1:], widths[1:]))
+        for r in [header, *body]
+    ]
     lines.insert(1, "-" * len(lines[0]))
     return "\n".join(lines)
 
@@ -198,22 +175,14 @@ def cmd_simulate(args):
     out_dir.mkdir(parents=True, exist_ok=True)
     result = run_simulation(config)
 
-    rep_rows = [
-        [
-            str(rec.rep),
-            rec.estimator,
-            _num(rec.point),
-            _num(rec.se),
-            "1" if rec.covered else "0",
-        ]
-        for rec in result.records
-    ]
-    _write_csv(
-        out_dir / "replications.csv",
-        ["rep", "estimator", "point", "se", "covered"],
-        rep_rows,
+    # replications.csv leaves out the records' error text; summary.csv has
+    # every field of SimulationRow.
+    _write_records(
+        out_dir / "replications.csv", result.records, ["rep", "estimator", "point", "se", "covered"]
     )
-    _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, _summary_rows(result.rows))
+    _write_records(
+        out_dir / "summary.csv", result.rows, [f.name for f in dataclasses.fields(SimulationRow)]
+    )
 
     failure_counts = {row.estimator: row.n_failed for row in result.rows}
     warnings = [
@@ -226,15 +195,9 @@ def cmd_simulate(args):
         "version": __version__,
         "command": "simulate",
         "config": {
-            "n": config.n,
-            "reps": config.reps,
-            "seed": config.seed,
-            "scenario": config.scenario,
-            "estimators": list(config.estimators),
-            "draws": config.n_draws,
-            "boot": config.n_boot,
-            "stabilize": config.stabilize,
-            "threads": config.threads,
+            key: getattr(config, field)
+            for key, (field, _) in _CONFIG_FIELDS.items()
+            if field is not None
         },
         "mc_error_batches": result.mc_error_batches,
         "mc_error_batch_rule": "floor(sqrt(reps))",
@@ -313,7 +276,7 @@ def cmd_estimate(args):
         cfg = ResamplingConfig(
             n_draws=args.draws, n_boot=args.boot, stabilize=not args.no_stabilize
         )
-        base = RngStream(args.seed)
+        rng = RngStream(args.seed)
     except ValueError as err:
         raise UsageError(str(err))
 
@@ -333,13 +296,8 @@ def cmd_estimate(args):
             )
 
     covariate_names = list(dict.fromkeys(n for n, _ in s_cols + b_cols))
-    columns = {name: _column(rows, name, args.data) for name in covariate_names}
-    import numpy as np
-
-    if covariate_names:
-        x = np.column_stack([columns[n] for n in covariate_names])
-    else:
-        x = np.empty((len(y), 0))
+    columns = [_column(rows, name, args.data) for name in covariate_names]
+    x = np.column_stack(columns) if columns else np.empty((len(y), 0))
     try:
         data = Dataset(y=y, z=z, x=x, column_names=tuple(covariate_names))
         spec = CovariateSpec(
@@ -349,30 +307,18 @@ def cmd_estimate(args):
     except ValueError as err:
         raise UsageError(f"{args.data}: {err}")
 
+    outcomes = run_estimators(data, spec, cfg, rng, tags)
     out_rows = []
     for tag in tags:
-        try:
-            result = ESTIMATORS[tag](data, spec, cfg, base.child(STREAM_KEYS[tag]))
-            out_rows.append(
-                [
-                    tag,
-                    _num(result.point),
-                    _num(result.se),
-                    _num(result.ci[0]),
-                    _num(result.ci[1]),
-                    json.dumps(result.diagnostics, sort_keys=True),
-                ]
-            )
-        except Exception as err:
-            out_rows.append([tag, "nan", "nan", "nan", "nan", json.dumps({"error": f"{type(err).__name__}: {err}"})])
+        res = outcomes[tag]
+        if isinstance(res, Exception):
+            values, diag = (math.nan,) * 4, {"error": error_text(res)}
+        else:
+            values, diag = (res.point, res.se, *res.ci), res.diagnostics
+        out_rows.append([tag, *map(_num, values), json.dumps(diag, sort_keys=True)])
 
     header = ["method", "point", "se", "ci_low", "ci_high", "diagnostics"]
-    if args.out:
-        _write_csv(args.out, header, out_rows)
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(out_rows)
+    _write_csv(args.out, header, out_rows)
     return EXIT_OK
 
 
@@ -399,7 +345,7 @@ def build_parser():
 
     sim = sub.add_parser("simulate", help="run the simulation study")
     sim.add_argument("--config", help="JSON config file (flags override)")
-    sim.add_argument("--scenario", choices=["I", "II"])
+    sim.add_argument("--scenario", choices=sorted(SCENARIOS))
     sim.add_argument("--n", type=int, help="sample size per replication")
     sim.add_argument("--reps", type=int, help="number of replications")
     sim.add_argument("--seed", type=int)
@@ -417,9 +363,9 @@ def build_parser():
     estp.add_argument("--s-cols", default="", help="outcome-model columns, e.g. 'a,b,abs:c'")
     estp.add_argument("--b-cols", default="", help="treatment-model columns")
     estp.add_argument("--estimators", help="comma-separated estimator tags")
-    estp.add_argument("--draws", type=int, default=200)
-    estp.add_argument("--boot", type=int, default=200)
-    estp.add_argument("--seed", type=int, default=2024)
+    estp.add_argument("--draws", type=int, default=SimConfig.n_draws)
+    estp.add_argument("--boot", type=int, default=SimConfig.n_boot)
+    estp.add_argument("--seed", type=int, default=SimConfig.seed)
     estp.add_argument("--no-stabilize", action="store_true")
     estp.add_argument("--out", help="output CSV (default: stdout)")
     estp.set_defaults(func=cmd_estimate)

@@ -32,9 +32,9 @@ Conventions used throughout:
   refusal raises :class:`EstimatorError`.  A finite full-sample treatment
   fit is used even when unconverged or separated, and flagged in the
   diagnostics; one that IRLS abandoned is refused by :func:`_ps_model`, and
-  a singular full-sample outcome design is refused too.  The single fits'
-  refusals name the collinear columns.  More than 10% failed resampling
-  draws raise :class:`DrawFailureError`.
+  a singular full-sample outcome design is refused too.  Refusals name the
+  collinear columns of the design at fault.  More than 10% failed
+  resampling draws raise :class:`DrawFailureError`.
 """
 
 from __future__ import annotations
@@ -264,27 +264,14 @@ class EstimateResult:
 
 
 def _result(method, point, se, draws=None, diagnostics=None):
-    point = float(point)
-    se = float(se)
-    return EstimateResult(
-        method=method,
-        point=point,
-        se=se,
-        ci=(point - CI_MULT * se, point + CI_MULT * se),
-        draws=draws,
-        diagnostics=diagnostics or {},
-    )
+    point, se = float(point), float(se)
+    ci = (point - CI_MULT * se, point + CI_MULT * se)
+    return EstimateResult(method, point, se, ci, draws, diagnostics or {})
 
 
 def _result_from_draws(method, draws, diagnostics=None):
     draws = np.asarray(draws, dtype=float)
-    return _result(
-        method,
-        draws.mean(),
-        draws.std(ddof=1),
-        draws=draws,
-        diagnostics=diagnostics,
-    )
+    return _result(method, draws.mean(), draws.std(ddof=1), draws, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +304,11 @@ def _clamp_ps(e):
     return np.clip(e, WEIGHT_CLIP, 1.0 - WEIGHT_CLIP)
 
 
-def _refusal(what, design, unexplained=""):
-    """:class:`EstimatorError` for a fit that cannot be used, naming the
-    columns of ``design`` beyond its numerical rank (pivoted QR), or else
-    adding ``unexplained``.  Only a refused fit pays for this, so scipy is
-    imported here."""
+def _refusal(what, design, unexplained="", error=EstimatorError):
+    """``error`` (an :class:`EstimatorError` class) for a fit that cannot be
+    used, naming the columns of ``design`` beyond its numerical rank
+    (pivoted QR), or else adding ``unexplained``.  Only a refused fit pays
+    for this, so scipy is imported here."""
     from scipy.linalg import qr
 
     _, r, perm = qr(design.values, mode="economic", pivoting=True)
@@ -329,8 +316,8 @@ def _refusal(what, design, unexplained=""):
     tol = diag.max(initial=0.0) * max(design.values.shape) * np.finfo(float).eps
     suspects = [design.column_labels[j] for j in sorted(perm[int(np.sum(diag > tol)) :])]
     if suspects:
-        return EstimatorError(f"{what}; collinear columns: {suspects}")
-    return EstimatorError(what + unexplained)
+        return error(f"{what}; collinear columns: {suspects}")
+    return error(what + unexplained)
 
 
 def _outcome_fit(design, y):
@@ -439,10 +426,20 @@ def _bootstrap_counts(z, n_boot, gen):
     return counts.astype(float), redraws
 
 
-def _check_draw_failures(n_failed, total, what):
+def _outcome_refusal(what, data, spec, error=EstimatorError):
+    """:func:`_refusal` on the plain outcome design; with ``spec`` None (no
+    outcome model) no columns are named."""
+    if spec is None:
+        return error(what)
+    return _refusal(what, plain_outcome_design(data, spec), error=error)
+
+
+def _check_draw_failures(n_failed, total, what, data=None, spec=None):
+    """Refuse with :class:`DrawFailureError` when more than 10% of ``total``
+    draws failed (:func:`_outcome_refusal`)."""
     if n_failed > 0.1 * total:
-        raise DrawFailureError(
-            f"{n_failed} of {total} {what} failed (more than 10%)"
+        raise _outcome_refusal(
+            f"{n_failed} of {total} {what} failed (more than 10%)", data, spec, DrawFailureError
         )
 
 
@@ -478,14 +475,17 @@ def _count_plan(data, spec, rng, n_boot):
     return W, E, H, ok, redraws
 
 
-def _bootstrap_result(method, values, ok, redraws, diag, cause="outcome fit is singular"):
+def _bootstrap_result(method, values, ok, redraws, diag, data, spec):
     """Result with the uniform row 0 as the point and the spread of the
-    successful count rows as SE; ``cause`` says why row 0 can fail."""
+    successful count rows as SE.  A failed row 0 is a singular full-sample
+    outcome fit, or with ``spec`` None (no outcome model) a non-finite
+    estimate; the refusal is an :func:`_outcome_refusal`."""
     if not ok[0]:
-        raise EstimatorError(f"{method}: the full-sample {cause}")
+        cause = "estimate is not finite" if spec is None else "outcome fit is singular"
+        raise _outcome_refusal(f"{method}: the full-sample {cause}", data, spec)
     boot_ok = ok[1:]
     n_failed = int((~boot_ok).sum())
-    _check_draw_failures(n_failed, boot_ok.shape[0], "bootstrap refits")
+    _check_draw_failures(n_failed, boot_ok.shape[0], "bootstrap refits", data, spec)
     diag["boot_failures"] = n_failed
     diag["boot_degenerate_redraws"] = redraws
     se = float(np.std(values[1:][boot_ok], ddof=1))
@@ -529,7 +529,7 @@ def iptw(data, spec, cfg, rng):
     diag["weight_min"] = float(w.min())
     diag["weight_max"] = float(w.max())
     values, fit_ok = _iptw_rows(data, W, H)
-    return _bootstrap_result("iptw", values, ok & fit_ok, redraws, diag, "estimate is not finite")
+    return _bootstrap_result("iptw", values, ok & fit_ok, redraws, diag, data, None)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +629,7 @@ def dr(data, spec, cfg, rng):
     values, fit_ok, residual = _dr_rows(data, spec, W, H)
     diag["residual_term"] = float(residual[0])
     diag["model_term"] = float(values[0] - residual[0])
-    return _bootstrap_result("dr", values, ok & fit_ok, redraws, diag)
+    return _bootstrap_result("dr", values, ok & fit_ok, redraws, diag, data, spec)
 
 
 def _clever_rows(data, spec, W, E, H):
@@ -659,7 +659,7 @@ def clever_covariate_regression(data, spec, cfg, rng):
     if dropped:
         diag["dropped_columns"] = list(dropped)
     diag["max_abs_clever"] = float(_ipw_row_max(data.z, W[:1], H[:1], stabilize=False)[0])
-    return _bootstrap_result("clever", values, ok & fit_ok, redraws, diag)
+    return _bootstrap_result("clever", values, ok & fit_ok, redraws, diag, data, spec)
 
 
 def _or_iptw_rows(data, spec, W, H, stabilize):
@@ -680,7 +680,7 @@ def or_iptw(data, spec, cfg, rng):
     values, fit_ok, w = _or_iptw_rows(data, spec, W, H, cfg.stabilize)
     diag["weight_min"] = float(w[0].min())
     diag["weight_max"] = float(w[0].max())
-    return _bootstrap_result("or_iptw", values, ok & fit_ok, redraws, diag)
+    return _bootstrap_result("or_iptw", values, ok & fit_ok, redraws, diag, data, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -711,15 +711,10 @@ def _dirichlet_plan(data, spec, rng, n_draws):
 
 def _two_step_draws(data, spec, cfg, rng):
     """Weighted-likelihood-bootstrap draws of the treatment model followed by
-    a conditional normal draw of the contrast.
-
-    The contrast is the outcome coefficient at ``Z_COL``, so its conditional
-    posterior is the normal marginal with the fit's ``[Z_COL, Z_COL]``
-    variance; it is drawn directly, without factoring the full covariance.
-    Returns per-draw arrays (restricted to successful draws): the plug-in
-    treatment contrast, its model-based variance, the drawn contrast, and
-    diagnostics.
-    """
+    a draw of the contrast from its conditional normal marginal (the fit's
+    ``[Z_COL, Z_COL]`` variance).  Returns per-draw arrays (restricted to
+    successful draws): the plug-in treatment contrast, its model-based
+    variance, the drawn contrast, and diagnostics."""
     m = cfg.n_draws
     _, ps_batch, e, _ = _dirichlet_plan(data, spec, rng, m)
     # Per-draw columns: the centered cubic basis of the draw's probabilities.
@@ -735,7 +730,7 @@ def _two_step_draws(data, spec, cfg, rng):
     contrast_draw = contrast_hat + np.sqrt(model_var) * noise
 
     n_failed = int((~ok).sum())
-    _check_draw_failures(n_failed, m, "posterior draws")
+    _check_draw_failures(n_failed, m, "posterior draws", data, spec)
     diag = {
         "draw_failures": n_failed,
         "ps_coef": tuple(float(g) for g in ps_batch.gamma[0]),
@@ -770,13 +765,9 @@ def _vardecomp_result(contrast_hat, model_var, diag):
 
 
 def two_step_pair(data, spec, cfg, rng):
-    """Both two-step variants from one set of draws.
-
-    The two variants are defined on the same treatment-model draws; this
-    helper computes the draws once and returns
+    """Both two-step variants from one set of draws:
     ``(forward_result, vardecomp_result)``, identical to calling the two
-    estimators separately with the same stream.
-    """
+    estimators separately with the same stream."""
     contrast_hat, model_var, contrast_draw, diag = _two_step_draws(data, spec, cfg, rng)
     forward = _result_from_draws("two_step_forward", contrast_draw, diagnostics=diag)
     return forward, _vardecomp_result(contrast_hat, model_var, diag)
@@ -796,16 +787,9 @@ def _joint_objective(y, z, base, bvals):
     concentrated log-likelihood in ``gamma``; by the envelope theorem its
     gradient is the ``gamma`` block of the full gradient.  The ``phi`` block
     is zero by the normal equations, and it is returned as zeros unless the
-    Hessian is asked for.
-
-    Only ``C`` moves with ``gamma`` (the variable-projection structure of
-    Golub & Pereyra, 1973), so ``base'base`` and ``base'y`` are formed once,
-    here.  Each evaluation writes ``C`` into a row-major buffer that holds
-    ``y`` and ``base'``, takes ``C'y``, ``C'base`` and ``C'C`` from one
-    product with it, solves the bordered normal equations, and forms the
-    residuals from one more product.  The Hessian contracts the (3, n)
-    powers and (q, n) factors of the basis Jacobian; the (n, 3, q) array is
-    never built.
+    Hessian is asked for.  Only ``C`` moves with ``gamma`` (the
+    variable-projection structure of Golub & Pereyra, 1973), so the moments
+    of ``base`` are formed once, here.
 
     ``loglik`` returns ``(value, grad, phi, hess)``: the gradient over
     ``theta = (phi, gamma)`` and, when ``hessian`` is set, the Hessian over
@@ -975,18 +959,16 @@ def joint_estimation(data, spec, cfg, rng):
 
     The outcome block is closed-form least squares given the treatment
     coefficients, so it is concentrated out; the Gaussian variance is
-    profiled throughout.  The moments of the fixed outcome columns are
-    formed once per fit (:func:`_joint_objective`): each evaluation borders
-    them with the three cubic columns, and each Hessian is built without the
-    (n, 3, q) basis Jacobian.  One BFGS search from the treatment-only fit
-    (``gtol=1e-3``) is polished by one Newton step on the exact concentrated
-    Hessian, the Schur complement of the outcome block.  Unless the largest
-    absolute concentrated gradient is then at most ``JOINT_GTOL``, the fit
-    raises :class:`EstimatorError`, as it does when the search meets a
-    singular outcome block.  The contrast is drawn from its normal marginal,
-    whose variance is the ``[Z_COL, Z_COL]`` entry of the inverse of the
-    analytic Hessian of the profiled joint log-likelihood at that point,
-    taken from the Cholesky factor that checks positive definiteness.
+    profiled throughout (:func:`_joint_objective`).  One BFGS search from
+    the treatment-only fit (``gtol=1e-3``) is polished by one Newton step on
+    the exact concentrated Hessian, the Schur complement of the outcome
+    block.  Unless the largest absolute concentrated gradient is then at
+    most ``JOINT_GTOL``, the fit raises :class:`EstimatorError`, as it does
+    when the search meets a singular outcome block.  The contrast is drawn
+    from its normal marginal, whose variance is the ``[Z_COL, Z_COL]`` entry
+    of the inverse of the analytic Hessian of the profiled joint
+    log-likelihood at that point, taken from the Cholesky factor that checks
+    positive definiteness.
     """
     y, z = data.y, data.z
     ps_design, ps_fit, _, _ = _ps_model(data, spec)
@@ -1018,10 +1000,12 @@ def joint_estimation(data, spec, cfg, rng):
     except np.linalg.LinAlgError:
         pass
     if not gmax <= JOINT_GTOL:
-        raise EstimatorError(
+        raise _outcome_refusal(
             f"joint fit did not converge: max |concentrated gradient| {gmax:.3g} "
             f"(limit {JOINT_GTOL:g}; nan: singular block or non-finite Newton step) "
-            f"after {stage}"
+            f"after {stage}",
+            data,
+            spec,
         )
 
     info = -hessian
@@ -1052,12 +1036,12 @@ def joint_estimation(data, spec, cfg, rng):
 # importance sampling (Bayesian bootstrap with treatment weights)
 
 
-def _draw_diagnostics(ok, w_max, batch):
+def _draw_diagnostics(ok, w_max, batch, data, spec):
     """Failure count (checked against the 10% limit), largest importance
     weight among successful draws (``w_max`` holds each draw's largest), and
     the first draw's treatment fit."""
     n_failed = int((~ok).sum())
-    _check_draw_failures(n_failed, ok.shape[0], "posterior draws")
+    _check_draw_failures(n_failed, ok.shape[0], "posterior draws", data, spec)
     return {
         "draw_failures": n_failed,
         "weight_max": float(np.max(w_max[ok])),
@@ -1074,7 +1058,7 @@ def importance_sampling(data, spec, cfg, rng):
     xi, batch, _, H = _dirichlet_plan(data, spec, rng, cfg.n_draws)
     values, fit_ok, w = _or_iptw_rows(data, spec, xi, H, cfg.stabilize)
     ok = batch.converged & fit_ok
-    diag = _draw_diagnostics(ok, w.max(axis=1), batch)
+    diag = _draw_diagnostics(ok, w.max(axis=1), batch, data, spec)
     return _result_from_draws("is", values[ok], diagnostics=diag)
 
 
@@ -1086,7 +1070,7 @@ def importance_sampling_dr(data, spec, cfg, rng):
     xi, batch, _, H = _dirichlet_plan(data, spec, rng, cfg.n_draws)
     values, fit_ok, residual = _dr_rows(data, spec, xi, H)
     ok = batch.converged & fit_ok
-    diag = _draw_diagnostics(ok, _ipw_row_max(data.z, xi, H, cfg.stabilize), batch)
+    diag = _draw_diagnostics(ok, _ipw_row_max(data.z, xi, H, cfg.stabilize), batch, data, spec)
     diag["mean_abs_residual_term"] = float(np.mean(np.abs(residual[ok])))
     return _result_from_draws("is_dr", values[ok], diagnostics=diag)
 

@@ -224,20 +224,8 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     reweighted fits are small perturbations of it); the optimum is
     unchanged.  ``prob`` keeps each converged row's probabilities from its
     last convergence check; the other rows are evaluated at their final
-    coefficients, NaN read as zero.
-
-    The weight rows are used as given: the Newton step is the same at any
-    positive scale of a row, so only the (m, p) score is divided by the row
-    means, for the stopping rule.  Every row starts from the same
-    coefficients (``start``, or zeros), so the first iteration evaluates the
-    probabilities once, as an n-vector ``mu0``, and forms each row's score
-    and information as products of its weight row with ``x * (z - mu0)``
-    and the column pairs of ``x`` times ``mu0 (1 - mu0)``: no (m, n) array.
-    Rows that meet ``SCORE_TOL`` there converge with ``mu0`` as their
-    probabilities.  Later iterations take ``-eta`` from one product with
-    ``-gamma`` and form the IRLS weights ``w mu (1 - mu)`` as
-    ``r (mu - (1 - z))`` from the score's residuals ``r = w (z - mu)``, in
-    place.
+    coefficients, NaN read as zero.  The weight rows are used as given,
+    since the Newton step does not depend on a row's scale.
     """
     xv = _as_values(x)
     z = np.asarray(z, dtype=float)
@@ -418,17 +406,8 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
     ``[x, extra[0][r], ..., extra[k-1][r]]``.  ``weights`` is (m, n), or
     None for unweighted fits: one per row of ``extra``, or a single fit
     (m = 1) when there is no ``extra``.  The weight rows are used as given,
-    since the coefficients do not depend on a row's scale.  The Gram matrix
-    is bordered: ``x'Wx`` from one product over the column pairs of ``x``
-    (computed once when unweighted), the cross blocks ``(W C_j) @ x`` and a
-    k x k corner of row sums, so no (m, n, p0 + k) design is built; the
-    right-hand side of ``x`` is ``W @ (x y)``.  Singular rows are flagged in
-    ``ok`` instead of raising.
-
-    Only the coefficients and ``ok`` are computed here.  The returned
-    :class:`BatchLinear` keeps the Gram matrices and the inputs, and forms
-    ``sigma2`` (a residual pass) and ``cov`` (a batched inverse) when they
-    are first read.
+    since the coefficients do not depend on a row's scale.  Singular rows
+    are flagged in ``ok`` instead of raising.
     """
     xv = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -52,6 +52,8 @@ __all__ = [
     "SimulationResult",
     "generate_data",
     "apply_scenario",
+    "run_estimators",
+    "error_text",
     "run_replication",
     "summarize",
     "run_simulation",
@@ -148,8 +150,8 @@ class SimulationResult:
     mc_error_batches: int
 
 
-def generate_data(n, rng) -> Dataset:
-    """One synthetic sample of size ``n``.
+def generate_data(n, rng: RngStream) -> Dataset:
+    """One synthetic sample of size ``n``, drawn from ``rng``.
 
     Four independent N(0,1) covariates; treatment probability
     ``expit(0.4 * c1 + 0.4 * x2 + 0.8 * x4)`` where ``c1`` is the
@@ -159,7 +161,7 @@ def generate_data(n, rng) -> Dataset:
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
-    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    gen = rng.generator()
     x = gen.standard_normal((n, 4))
     c1 = np.abs(x[:, 0]) * ABS_STD_SCALE
     prob = expit(0.4 * c1 + 0.4 * x[:, 1] + 0.8 * x[:, 3])
@@ -177,60 +179,60 @@ def apply_scenario(data: Dataset, scenario: str) -> CovariateSpec:
     return spec
 
 
-def run_replication(config: SimConfig, rep_index: int) -> list:
-    """Run all configured estimators on one generated dataset.
+_TWO_STEP = ("two_step_forward", "two_step_vardecomp")
 
-    Estimator failures are recorded (with NaN point/se) per estimator;
-    the replication itself is never aborted.
+
+def run_estimators(data, spec, cfg, rng, tags) -> dict:
+    """Run the estimators ``tags`` on one data set, each on the sub-stream
+    of ``rng`` named by its key in ``STREAM_KEYS``.
+
+    Returns ``{tag: EstimateResult or the exception it raised}`` in the
+    order of ``tags``: a failing estimator becomes data, not a crash.  When
+    both two-step variants are requested they are computed together by
+    ``two_step_pair``, from one set of draws (identical to two separate
+    calls).
     """
+    paired = all(tag in tags for tag in _TWO_STEP)
+    # The pair runs first, before any bootstrap plan is held, which keeps
+    # the peak memory of a replication lower.
+    groups = [_TWO_STEP] if paired else []
+    groups += [(tag,) for tag in dict.fromkeys(tags) if not (paired and tag in _TWO_STEP)]
+    outcomes: dict = {}
+    for group in groups:
+        stream = rng.child(STREAM_KEYS[group[0]])
+        try:
+            if group is _TWO_STEP:
+                results = two_step_pair(data, spec, cfg, stream)
+            else:
+                results = (ESTIMATORS[group[0]](data, spec, cfg, stream),)
+        except Exception as err:
+            results = (err,) * len(group)
+        outcomes.update(zip(group, results))
+    return {tag: outcomes[tag] for tag in tags}
+
+
+def error_text(err: Exception) -> str:
+    """How a failed estimator is reported: ``"{type}: {message}"``."""
+    return f"{type(err).__name__}: {err}"
+
+
+def run_replication(config: SimConfig, rep_index: int) -> list:
+    """Run all configured estimators on replication ``rep_index``'s data
+    set: one record per estimator, a failure recorded with NaN point and
+    SE and its :func:`error_text`."""
     rep_rng = RngStream(config.seed, stream_id=rep_index)
     data = generate_data(config.n, rep_rng.child(_DATA_KEY))
     spec = apply_scenario(data, config.scenario)
-    cfg = config.resampling()
-    results: dict = {}
-    failures: dict = {}
-
-    # The two two-step variants are defined on the same draws; compute them
-    # together when both are requested (identical to two separate calls).
-    if "two_step_forward" in config.estimators and "two_step_vardecomp" in config.estimators:
-        try:
-            fwd, vd = two_step_pair(
-                data, spec, cfg, rep_rng.child(STREAM_KEYS["two_step_forward"])
-            )
-            results["two_step_forward"] = fwd
-            results["two_step_vardecomp"] = vd
-        except Exception as err:
-            failures["two_step_forward"] = err
-            failures["two_step_vardecomp"] = err
-
-    for tag in config.estimators:
-        if tag in results or tag in failures:
-            continue
-        try:
-            results[tag] = ESTIMATORS[tag](data, spec, cfg, rep_rng.child(STREAM_KEYS[tag]))
-        except Exception as err:  # failures become data, not crashes
-            failures[tag] = err
-
+    outcomes = run_estimators(data, spec, config.resampling(), rep_rng, config.estimators)
     records = []
     for tag in config.estimators:
-        if tag in results:
-            result = results[tag]
-            covered = result.ci[0] <= TRUE_CONTRAST <= result.ci[1]
-            records.append(
-                ReplicationRecord(rep_index, tag, result.point, result.se, covered)
-            )
+        res = outcomes[tag]
+        if isinstance(res, Exception):
+            nan = float("nan")
+            records.append(ReplicationRecord(rep_index, tag, nan, nan, False, error_text(res)))
         else:
-            err = failures[tag]
-            records.append(
-                ReplicationRecord(
-                    rep_index,
-                    tag,
-                    float("nan"),
-                    float("nan"),
-                    False,
-                    error=f"{type(err).__name__}: {err}",
-                )
-            )
+            covered = res.ci[0] <= TRUE_CONTRAST <= res.ci[1]
+            records.append(ReplicationRecord(rep_index, tag, res.point, res.se, covered))
     return records
 
 

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 import drbayes
+from drbayes import estimators
 from drbayes.cli import main
 from drbayes.numerics import RngStream
-from drbayes.simulation import generate_data
+from drbayes.simulation import _DATA_KEY, SimConfig, generate_data, run_replication
 
 FAST_ARGS = [
     "--n", "100",
@@ -167,31 +168,30 @@ class TestSimulateCommand:
         assert out.stderr.startswith("error: ") and "Traceback" not in out.stderr
 
 
-def _write_dataset_csv(path, n=400, seed=77):
-    data = generate_data(n, RngStream(seed, 0))
+def _write_dataset_csv(path, data):
+    # csv.writer writes the shortest repr of each float, which reads back
+    # to the same double.
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "z", "x1", "x2", "x3", "x4"])
-        for i in range(n):
-            writer.writerow(
-                [data.y[i], int(data.z[i]), *[data.x[i, j] for j in range(4)]]
-            )
-    return data
+        for i in range(data.n):
+            writer.writerow([data.y[i], int(data.z[i]), *data.x[i]])
+
+
+SCENARIO_ONE_COLUMNS = ["--outcome", "y", "--treatment", "z",
+                        "--s-cols", "x1,x2,x3", "--b-cols", "abs:x1,x2,x4"]
 
 
 class TestEstimateCommand:
     def test_scenario_dataset_round_trip(self, tmp_path):
         path = tmp_path / "data.csv"
-        _write_dataset_csv(path)
+        _write_dataset_csv(path, generate_data(400, RngStream(77, 0)))
         out = tmp_path / "est.csv"
         code = main(
             [
                 "estimate",
                 "--data", str(path),
-                "--outcome", "y",
-                "--treatment", "z",
-                "--s-cols", "x1,x2,x3",
-                "--b-cols", "abs:x1,x2,x4",
+                *SCENARIO_ONE_COLUMNS,
                 "--estimators", "dr",
                 "--draws", "8",
                 "--boot", "60",
@@ -204,6 +204,45 @@ class TestEstimateCommand:
         assert rows[0] == ["method", "point", "se", "ci_low", "ci_high", "diagnostics"]
         point, se = float(rows[1][1]), float(rows[1][2])
         assert abs(point - 1.0) < 3.0 * se
+
+    def test_replays_simulate_replication(self, tmp_path):
+        # Replication 0's data set, run through estimate at the simulation's
+        # seed, gives replication 0's records: both commands run one
+        # procedure.
+        config = SimConfig(n=200, reps=2, seed=31, n_draws=20, n_boot=20)
+        path = tmp_path / "rep0.csv"
+        _write_dataset_csv(path, generate_data(config.n, RngStream(config.seed, 0).child(_DATA_KEY)))
+        out = tmp_path / "est.csv"
+        code = main(["estimate", "--data", str(path), *SCENARIO_ONE_COLUMNS, "--draws", "20",
+                     "--boot", "20", "--seed", "31", "--out", str(out)])
+        assert code == 0
+        expected = [[rec.estimator, f"{rec.point:.17g}", f"{rec.se:.17g}"]
+                    for rec in run_replication(config, 0)]
+        assert len(expected) == 13
+        assert [row[:3] for row in _read_csv(out)[1:]] == expected
+
+    def test_two_step_variants_fit_their_draws_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.csv"
+        _write_dataset_csv(path, generate_data(200, RngStream(8, 0)))
+        argv = ["estimate", "--data", str(path), *SCENARIO_ONE_COLUMNS,
+                "--draws", "20", "--boot", "20", "--seed", "8"]
+        singles = []
+        for tag in ("two_step_forward", "two_step_vardecomp"):
+            assert main([*argv, "--estimators", tag, "--out", str(tmp_path / "one.csv")]) == 0
+            singles.append(_read_csv(tmp_path / "one.csv")[1])
+        calls = []
+        fit = estimators.fit_linear_weighted_many
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return fit(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "fit_linear_weighted_many", counted)
+        both = tmp_path / "both.csv"
+        assert main([*argv, "--estimators", "two_step_forward,two_step_vardecomp",
+                     "--out", str(both)]) == 0
+        assert len(calls) == 1
+        assert _read_csv(both)[1:] == singles
 
     def test_nonbinary_treatment_names_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"

@@ -422,7 +422,7 @@ class TestFailurePolicy:
     @pytest.mark.parametrize(
         "model, succeeding, naming",
         [
-            ("outcome", {"naive", "iptw"}, {"adjusted", "or_ps_info", "or_ps_sandwich"}),
+            ("outcome", {"naive", "iptw"}, set(ESTIMATOR_ORDER) - {"naive", "iptw"}),
             ("treatment", {"naive", "adjusted"}, set(ESTIMATOR_ORDER) - {"naive", "adjusted"}),
         ],
     )
@@ -438,6 +438,11 @@ class TestFailurePolicy:
                 ESTIMATORS[tag](data, spec, cfg, rng)
             if tag in naming:
                 assert str(err.value).endswith("collinear columns: ['dup']"), tag
+
+    def test_draw_failure_refusal_keeps_its_class(self):
+        data, spec = self._with_duplicate("outcome")
+        with pytest.raises(DrawFailureError, match=r"collinear columns: \['dup'\]$"):
+            est._check_draw_failures(3, 20, "posterior draws", data, spec)
 
     def test_unconverged_finite_treatment_fit_is_used_and_flagged(self, monkeypatch):
         # Two IRLS iterations leave the full-sample treatment fit finite but
@@ -994,7 +999,10 @@ class TestBootstrapSe:
             return values, np.isfinite(values)
 
         monkeypatch.setattr(est, "_iptw_rows", nan_row0)
-        cause = "estimate is not finite" if tag == "iptw" else "outcome fit is singular"
+        if tag == "iptw":
+            cause = "estimate is not finite"
+        else:
+            cause = r"outcome fit is singular; collinear columns: \['x1'\]"
         with pytest.raises(EstimatorError, match=f"^{tag}: the full-sample {cause}$"):
             ESTIMATORS[tag](data, spec, CFG, RngStream(22, 0).child(STREAM_KEYS[tag]))
 
