@@ -90,6 +90,9 @@ def _parse_estimators(value):
         raise UsageError(
             f"unknown estimators {unknown}; available: {ESTIMATOR_ORDER}"
         )
+    repeated = sorted({t for t in tags if tags.count(t) > 1})
+    if repeated:
+        raise UsageError(f"repeated estimators {repeated}")
     return tags
 
 

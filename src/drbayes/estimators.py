@@ -56,6 +56,7 @@ from .glm import (
     observed_info_se_treatment,
     propensity,
     ps_adjusted_treatment_variance,
+    rank_deficient_columns,
 )
 from .numerics import expit
 
@@ -306,26 +307,24 @@ def _clamp_ps(e):
 
 def _refusal(what, design, unexplained="", error=EstimatorError):
     """``error`` (an :class:`EstimatorError` class) for a fit that cannot be
-    used, naming the columns of ``design`` beyond its numerical rank
-    (pivoted QR), or else adding ``unexplained``.  Only a refused fit pays
-    for this, so scipy is imported here."""
-    from scipy.linalg import qr
-
-    _, r, perm = qr(design.values, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    tol = diag.max(initial=0.0) * max(design.values.shape) * np.finfo(float).eps
-    suspects = [design.column_labels[j] for j in sorted(perm[int(np.sum(diag > tol)) :])]
-    if suspects:
-        return error(f"{what}; collinear columns: {suspects}")
-    return error(what + unexplained)
+    used, naming the columns of ``design`` that the fits' rank rule drops
+    (:func:`~drbayes.glm.rank_deficient_columns`), or else adding
+    ``unexplained``."""
+    suspects = [design.column_labels[j] for j in rank_deficient_columns(design)]
+    return error(f"{what}; collinear columns: {suspects}" if suspects else what + unexplained)
 
 
-def _outcome_fit(design, y):
-    """Least-squares outcome fit of ``design``, refused when singular."""
-    fit = fit_linear_weighted(design, y)
+@_per_dataset
+def _plain_outcome_fit(data: Dataset, spec: CovariateSpec):
+    """``(design, fit)``: the least-squares fit of the plain outcome design,
+    fit once per data set and refused when singular.  ``adjusted``,
+    ``joint`` and the ``or_ps_*`` fallback read it."""
+    design = plain_outcome_design(data, spec)
+    fit = fit_linear_weighted(design, data.y)
     if not fit.ok:
         raise _refusal("outcome design is singular", design)
-    return fit
+    _freeze(design.values, fit.phi, fit.cov)
+    return design, fit
 
 
 @_per_dataset
@@ -509,7 +508,7 @@ def g_formula_adjusted(data, spec, cfg=None, rng=None):
     """Covariate-adjusted regression estimate: fit the outcome model by
     least squares and standardize over the empirical covariate distribution
     (equal to the treatment coefficient for this additive design)."""
-    fit = _outcome_fit(plain_outcome_design(data, spec), data.y)
+    fit = _plain_outcome_fit(data, spec)[1]
     return _result("adjusted", fit.phi[Z_COL], observed_info_se_treatment(fit))
 
 
@@ -558,8 +557,7 @@ def _or_ps_parts(data, spec):
         # A rank deficiency can be attributed to any member of a collinear
         # group, so the whole derived basis is dropped; the base columns are
         # part of the estimator's contract.
-        design, dropped = plain_outcome_design(data, spec), ("ps^1", "ps^2", "ps^3")
-        fit = _outcome_fit(design, data.y)
+        (design, fit), dropped = _plain_outcome_fit(data, spec), ("ps^1", "ps^2", "ps^3")
         diag["dropped_columns"] = list(dropped)
     _freeze(design.values, fit.phi, fit.cov)
     return _OrPsParts(ps_design, ps_fit, e, design, fit, dropped, diag)
@@ -962,18 +960,20 @@ def joint_estimation(data, spec, cfg, rng):
     profiled throughout (:func:`_joint_objective`).  One BFGS search from
     the treatment-only fit (``gtol=1e-3``) is polished by one Newton step on
     the exact concentrated Hessian, the Schur complement of the outcome
-    block.  Unless the largest absolute concentrated gradient is then at
-    most ``JOINT_GTOL``, the fit raises :class:`EstimatorError`, as it does
-    when the search meets a singular outcome block.  The contrast is drawn
-    from its normal marginal, whose variance is the ``[Z_COL, Z_COL]`` entry
-    of the inverse of the analytic Hessian of the profiled joint
-    log-likelihood at that point, taken from the Cholesky factor that checks
-    positive definiteness.
+    block.  A plain outcome design that fails the fits' rank rule is
+    refused before the search, with the error ``adjusted`` raises on it.
+    Unless the largest absolute concentrated gradient is at most
+    ``JOINT_GTOL`` after the polish, the fit raises :class:`EstimatorError`,
+    as it does when the search meets a singular outcome block.  The
+    contrast is drawn from its normal marginal, whose variance is the
+    ``[Z_COL, Z_COL]`` entry of the inverse of the analytic Hessian of the
+    profiled joint log-likelihood at that point, taken from the Cholesky
+    factor that checks positive definiteness.
     """
     y, z = data.y, data.z
     ps_design, ps_fit, _, _ = _ps_model(data, spec)
     bvals = ps_design.values
-    base = plain_outcome_design(data, spec).values
+    base = _plain_outcome_fit(data, spec)[0].values
     p_phi = base.shape[1] + 3
     loglik = _joint_objective(y, z, base, bvals)
 

@@ -9,8 +9,12 @@ covariance unchanged.
 Each family has one kernel, batched over the rows of a weight matrix
 (``*_many``) against a shared design, plus per-row extra columns in the
 linear case; a single fit is the kernel's one-row call, so every fit is
-judged by the same stopping and rank rules.  The fits report and do not
-decide: each returns its verdict with its estimate (``converged`` and
+judged by the same stopping rules.  One rank rule, a floor on the smallest
+eigenvalue of the correlation-scale Gram matrix (``_gram_rows_well_posed``),
+judges both families, on a linear fit's normal equations and on a logistic
+fit's first-iteration information, and names the columns at fault
+(:func:`rank_deficient_columns`).  The fits report and do not decide:
+each returns its verdict with its estimate (``converged`` and
 ``separation`` for logistic fits, with NaN coefficients where IRLS
 abandoned a fit; ``ok`` for linear fits), and raises only ``ValueError``,
 for invalid arguments.  Whether a flagged fit is used is the caller's
@@ -34,6 +38,7 @@ __all__ = [
     "fit_logistic_weighted_many",
     "fit_linear_weighted",
     "fit_linear_weighted_many",
+    "rank_deficient_columns",
     "BatchLogistic",
     "BatchLinear",
     "propensity",
@@ -132,6 +137,21 @@ def _gram_rows_well_posed(a):
     return good
 
 
+def rank_deficient_columns(x):
+    """Indices of the columns of the design ``x`` beyond its numerical rank
+    under :func:`_gram_rows_well_posed`'s rule.  Columns are added left to
+    right, and each whose addition makes the Gram matrix of the kept
+    columns fail the rule is dropped, so a repeated column names its later
+    copy, and a design that fails the rule names at least one column."""
+    xv = _as_values(x)
+    kept = []
+    for j in range(xv.shape[1]):
+        trial = xv[:, [*kept, j]]
+        if _gram_rows_well_posed((trial.T @ trial)[None])[0]:
+            kept.append(j)
+    return [j for j in range(xv.shape[1]) if j not in kept]
+
+
 @lru_cache(maxsize=None)
 def _upper_triangle(p):
     """Read-only ``np.triu_indices(p)``, cached: building it costs more than
@@ -182,10 +202,10 @@ def fit_logistic_weighted(x, z, weights=None):
     FittedLogistic
         The coefficients with the kernel's verdict and iteration count.
         ``converged`` is false when IRLS reached its iteration limit or
-        abandoned the fit; an abandoned fit (diverging, or a singular
-        information matrix) has NaN coefficients.  A coefficient exceeding
-        30 in absolute value, or a fit abandoned as diverging, sets the
-        ``separation`` warning flag.
+        abandoned the fit; an abandoned fit (diverging, or rank deficient
+        by the rank rule on its first-iteration information) has NaN
+        coefficients.  A coefficient exceeding 30 in absolute value, or a
+        fit abandoned as diverging, sets the ``separation`` warning flag.
     """
     xv = _as_values(x)
     weights = _check_weights(weights, xv.shape[0])
@@ -214,18 +234,22 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
 
     ``weights`` has shape (m, n); row k defines its own fit.  A row converges
     when the largest absolute entry of its weighted score, divided by the
-    row's mean weight, drops below ``SCORE_TOL``.  Rows that fail
-    (singular information, or a coefficient leaving ``DIVERGENCE_BOUND``)
-    are abandoned with NaN coefficients and reported unconverged rather than
-    raising, since resampling callers skip and count such draws; a diverging
-    row is flagged as separated.  Converged rows drop out of the working
-    set, so late iterations only pay for the stragglers.  ``start``
-    warm-starts all rows (typically the full-sample estimate, since
-    reweighted fits are small perturbations of it); the optimum is
-    unchanged.  ``prob`` keeps each converged row's probabilities from its
-    last convergence check; the other rows are evaluated at their final
-    coefficients, NaN read as zero.  The weight rows are used as given,
-    since the Newton step does not depend on a row's scale.
+    row's mean weight, drops below ``SCORE_TOL``.  Rank is decided on each
+    row's iteration-1 information by ``_gram_rows_well_posed``: the IRLS
+    weights ``w mu (1 - mu)`` are positive wherever ``w`` is, so that
+    information has the rank of the row's weighted design.  A row that
+    fails the rule, or whose coefficients leave ``DIVERGENCE_BOUND``, is
+    abandoned with NaN coefficients and reported unconverged rather than
+    raising, since resampling callers skip and count such draws; a
+    diverging row is flagged as separated, a rank-deficient one is not.
+    Converged rows drop out of the working set, so late iterations only
+    pay for the stragglers.  ``start`` warm-starts all rows (typically the
+    full-sample estimate, since reweighted fits are small perturbations of
+    it); the optimum is unchanged.  ``prob`` keeps each converged row's
+    probabilities from its last convergence check; the other rows are
+    evaluated at their final coefficients, NaN read as zero.  The weight
+    rows are used as given, since the Newton step does not depend on a
+    row's scale.
     """
     xv = _as_values(x)
     z = np.asarray(z, dtype=float)
@@ -286,19 +310,19 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
             mu *= r
             info = mu @ pairs
         info = _scatter_symmetric(info, p, iu)
+        # Rank is decided on the iteration-1 information.  Later ones keep
+        # its rank unless a probability rounds to exactly 0 or 1, which can
+        # make one exactly singular and the batched solve raise.  Either way
+        # the rule picks the rows to abandon, and the rest are solved.
         try:
+            if iterations == 1 and not _gram_rows_well_posed(info).all():
+                raise np.linalg.LinAlgError("rank deficient information")
             step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError:
-            step = np.zeros((active.size, p))
-            dead = np.zeros(active.size, dtype=bool)
-            for row in range(active.size):
-                try:
-                    step[row] = np.linalg.solve(info[row], score[row])
-                except np.linalg.LinAlgError:
-                    dead[row] = True
-            gamma[active[dead]] = np.nan
-            active = active[~dead]
-            step = step[~dead]
+            well_posed = _gram_rows_well_posed(info)
+            gamma[active[~well_posed]] = np.nan
+            active, info, score = active[well_posed], info[well_posed], score[well_posed]
+            step = np.linalg.solve(info, score[:, :, None])[:, :, 0]
         gamma[active] += step
         # NaN and inf fail the comparison, so they count as diverged too.
         bad = ~(np.abs(gamma[active]).max(axis=1) <= DIVERGENCE_BOUND)
@@ -543,7 +567,7 @@ def ps_adjusted_treatment_variance(
     (HC0) sandwich of the outcome fit.
 
     Returns the variance (not the standard error) of the treatment
-    coefficient.  A singular treatment information raises ``LinAlgError``.
+    coefficient.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)

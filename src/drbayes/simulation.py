@@ -38,6 +38,7 @@ from .estimators import (
     STREAM_KEYS,
     CovariateSpec,
     Dataset,
+    EstimatorError,
     ResamplingConfig,
     two_step_pair,
 )
@@ -102,6 +103,9 @@ class SimConfig:
         unknown = [t for t in self.estimators if t not in ESTIMATORS]
         if unknown:
             raise ValueError(f"unknown estimators: {unknown}")
+        repeated = sorted({t for t in self.estimators if self.estimators.count(t) > 1})
+        if repeated:
+            raise ValueError(f"repeated estimators: {repeated}")
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         # The library's own rules for the resampling counts and the seed.
@@ -186,11 +190,11 @@ def run_estimators(data, spec, cfg, rng, tags) -> dict:
     """Run the estimators ``tags`` on one data set, each on the sub-stream
     of ``rng`` named by its key in ``STREAM_KEYS``.
 
-    Returns ``{tag: EstimateResult or the exception it raised}`` in the
-    order of ``tags``: a failing estimator becomes data, not a crash.  When
-    both two-step variants are requested they are computed together by
-    ``two_step_pair``, from one set of draws (identical to two separate
-    calls).
+    Returns ``{tag: EstimateResult or the EstimatorError it raised}`` in
+    the order of ``tags``: a refusal becomes data, not a crash.  Any other
+    exception is a defect and propagates.  When both two-step variants are
+    requested they are computed together by ``two_step_pair``, from one set
+    of draws (identical to two separate calls).
     """
     paired = all(tag in tags for tag in _TWO_STEP)
     # The pair runs first, before any bootstrap plan is held, which keeps
@@ -205,7 +209,7 @@ def run_estimators(data, spec, cfg, rng, tags) -> dict:
                 results = two_step_pair(data, spec, cfg, stream)
             else:
                 results = (ESTIMATORS[group[0]](data, spec, cfg, stream),)
-        except Exception as err:
+        except EstimatorError as err:
             results = (err,) * len(group)
         outcomes.update(zip(group, results))
     return {tag: outcomes[tag] for tag in tags}

@@ -128,6 +128,14 @@ class TestSimulateCommand:
     def test_unknown_estimator_exit_2(self):
         assert main(["simulate", *FAST_ARGS, "--estimators", "nope"]) == 2
 
+    def test_repeated_estimator_exit_2_before_output(self, tmp_path, capsys):
+        # A repeated tag used to summarize every replication twice.
+        out = tmp_path / "out"
+        code = main(["simulate", *FAST_ARGS, "--estimators", "naive,dr,naive", "--out", str(out)])
+        assert code == 2
+        assert "repeated estimators ['naive']" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, message",
         [("--draws", "n_draws=1"), ("--boot", "n_boot=1"), ("--seed", "seed=-1")],
@@ -244,6 +252,34 @@ class TestEstimateCommand:
         assert len(calls) == 1
         assert _read_csv(both)[1:] == singles
 
+    def test_repeated_treatment_column_is_refused_and_named(self, tmp_path):
+        # The treatment design (1, x2, x2) is rank deficient: every
+        # estimator that needs its fit refuses and names the later copy.
+        path = tmp_path / "data.csv"
+        _write_dataset_csv(path, generate_data(500, RngStream(31, 0)))
+        out = tmp_path / "est.csv"
+        code = main(["estimate", "--data", str(path), "--outcome", "y", "--treatment", "z",
+                     "--s-cols", "x1,x2", "--b-cols", "x2,x2", "--draws", "20", "--boot", "20",
+                     "--out", str(out)])
+        assert code == 0
+        rows = {row[0]: row for row in _read_csv(out)[1:]}
+        assert list(rows) == estimators.ESTIMATOR_ORDER
+        for tag, row in rows.items():
+            if tag in ("naive", "adjusted"):
+                assert row[1] != "nan"
+                continue
+            assert json.loads(row[5]) == {"error": "EstimatorError: treatment-model fit "
+                                          "abandoned by IRLS; collinear columns: ['x2']"}, tag
+
+    def test_repeated_estimator_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "ok.csv"
+        path.write_text("y,z\n1.0,0\n2.0,1\n0.5,0\n1.5,1\n")
+        code = main(["estimate", "--data", str(path), "--outcome", "y", "--treatment", "z",
+                     "--estimators", "naive,naive"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "repeated estimators ['naive']" in captured.err and captured.out == ""
+
     def test_nonbinary_treatment_names_row(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text("y,z,x1\n1.0,0,0.5\n2.0,2,0.1\n0.5,1,0.2\n")
@@ -332,8 +368,8 @@ class TestSelfcheckCommand:
 
 class TestImport:
     def test_loads_no_scipy(self):
-        # scipy is imported only to diagnose a failing fit, so a fresh
-        # process that imports the command line does not pay for it.
+        # No library module imports scipy (tests/test_exports.py), and
+        # numpy, which the library does import, loads none of it either.
         src = str(Path(drbayes.__file__).resolve().parent.parent)
         env = {**os.environ, "PYTHONPATH": src}
         code = "import sys, drbayes.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

@@ -439,6 +439,36 @@ class TestFailurePolicy:
             if tag in naming:
                 assert str(err.value).endswith("collinear columns: ['dup']"), tag
 
+    @pytest.mark.parametrize("model", ["outcome", "treatment"])
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 1e-6])
+    def test_near_duplicate_column_is_refused_and_named(self, model, eps):
+        # near = x2 + eps * noise fails the fits' one rank rule, so every
+        # estimator with a model on that covariate set refuses (joint
+        # included), and each refusal names near.
+        data, spec = _sim_data(n=300, seed=40)
+        noise = RngStream(43, 0).generator().standard_normal(data.n)
+        data = Dataset(
+            data.y,
+            data.z,
+            np.column_stack([data.x, data.x[:, 1] + eps * noise]),
+            (*data.column_names, "near"),
+        )
+        near = ((4, est.IDENTITY),)
+        if model == "outcome":
+            spec, succeeding = CovariateSpec(spec.s_columns + near, spec.b_columns), {"iptw"}
+        else:
+            spec, succeeding = CovariateSpec(spec.s_columns, spec.b_columns + near), {"adjusted"}
+        succeeding.add("naive")
+        outcomes = sim.run_estimators(
+            data, spec, ResamplingConfig(n_draws=20, n_boot=20), RngStream(41, 0), ESTIMATOR_ORDER
+        )
+        for tag, res in outcomes.items():
+            if tag in succeeding:
+                assert math.isfinite(res.point), tag
+            else:
+                assert isinstance(res, EstimatorError), tag
+                assert str(res).endswith("collinear columns: ['near']"), (tag, str(res))
+
     def test_draw_failure_refusal_keeps_its_class(self):
         data, spec = self._with_duplicate("outcome")
         with pytest.raises(DrawFailureError, match=r"collinear columns: \['dup'\]$"):

@@ -1,8 +1,11 @@
 """Every name a ``drbayes`` module exports in ``__all__`` resolves, so a star
-import cannot break on an entry left behind by a removal."""
+import cannot break on an entry left behind by a removal; and no module
+imports scipy, which is a test dependency only."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -20,3 +23,17 @@ def test_all_names_resolve(name):
     namespace = {}
     exec(f"from {name} import *", namespace)
     assert set(exported) <= set(namespace)
+
+
+def test_no_module_imports_scipy():
+    found = []
+    for path in sorted(Path(drbayes.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for n in names if n.split(".")[0] == "scipy"]
+    assert found == []

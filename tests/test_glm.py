@@ -14,6 +14,7 @@ from drbayes.glm import (
     observed_info_se_treatment,
     propensity,
     ps_adjusted_treatment_variance,
+    rank_deficient_columns,
 )
 from drbayes.numerics import RngStream, expit
 
@@ -112,6 +113,23 @@ class TestLogisticFit:
         assert not fit.converged
         assert not np.any(np.isfinite(fit.gamma))
 
+    def test_rank_deficient_row_alone_is_abandoned(self):
+        # Row 1 weighs only the observations where the last column equals
+        # the intercept, so its information is rank deficient there; the
+        # rank rule abandons that row, and the others are untouched.
+        x, z = _logistic_data(200, [0.2, 0.5, -0.3], seed=27)
+        varies = np.arange(200) % 3 == 0
+        x[~varies, 2] = 1.0
+        weights = RngStream(28).generator().dirichlet(np.ones(200), size=4)
+        weights[1, varies] = 0.0
+        batch = fit_logistic_weighted_many(x, z, weights)
+        assert np.isnan(batch.gamma[1]).all()
+        assert not batch.converged[1] and not batch.separation[1]
+        for k in (0, 2, 3):
+            single = fit_logistic_weighted(x, z, weights=weights[k])
+            assert batch.converged[k] and single.converged
+            np.testing.assert_allclose(batch.gamma[k], single.gamma, rtol=0, atol=1e-8)
+
     def test_all_zero_weights_rejected(self):
         x, z = _logistic_data(20, [0.0, 0.3], seed=5)
         with pytest.raises(ValueError, match="weights"):
@@ -134,6 +152,27 @@ class TestLogisticFit:
         cold = fit_logistic_weighted_many(x, z, weights)
         warm = fit_logistic_weighted_many(x, z, weights, start=fit_logistic_weighted(x, z).gamma)
         np.testing.assert_allclose(cold.gamma, warm.gamma, atol=1e-7)
+
+
+class TestRankDeficientColumns:
+    @staticmethod
+    def _design():
+        x, _ = _logistic_data(60, [0.0, 0.1, 0.2, 0.3], seed=29)
+        return x
+
+    def test_names_later_copy_and_multiple_of_intercept(self):
+        x = self._design()
+        assert rank_deficient_columns(np.column_stack([x, x[:, 2]])) == [4]
+        assert rank_deficient_columns(np.column_stack([x[:, :3], x[:, 1], x[:, 3]])) == [3]
+        assert rank_deficient_columns(np.column_stack([x, np.full(60, 2.5)])) == [4]
+        labels = ["intercept", "a", "b", "c", "a_copy"]
+        assert rank_deficient_columns(DesignMatrix(np.column_stack([x, x[:, 1]]), labels)) == [4]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_full_rank_design_names_nothing(self, scale):
+        x = self._design()
+        x[:, 2] *= scale
+        assert rank_deficient_columns(x) == []
 
 
 class TestLinearFit:

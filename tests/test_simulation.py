@@ -6,13 +6,14 @@ import pytest
 
 from drbayes import simulation
 
-from drbayes.estimators import ABS_STANDARDIZED, ABS_STD_SCALE, IDENTITY
+from drbayes.estimators import ABS_STANDARDIZED, ABS_STD_SCALE, IDENTITY, EstimatorError
 from drbayes.numerics import InvalidArgumentError, RngStream, expit
 from drbayes.simulation import (
     SCENARIOS,
     SimConfig,
     apply_scenario,
     generate_data,
+    run_estimators,
     run_replication,
     run_simulation,
     summarize,
@@ -124,6 +125,30 @@ class TestRunReplication:
         config = _fast_config(reps=3)
         for rec in run_replication(config, 1):
             assert rec.covered == (abs(rec.point - 1.0) <= 1.96 * rec.se)
+
+
+class TestRunEstimators:
+    def test_only_estimator_errors_become_records(self, monkeypatch):
+        # A refusal is data; any other exception is a defect and propagates.
+        def raising(error):
+            def estimator(*args):
+                raise error
+
+            return estimator
+
+        config = _fast_config(estimators=("naive", "adjusted"))
+        data = generate_data(config.n, RngStream(config.seed, 0))
+        spec = apply_scenario(data, config.scenario)
+        monkeypatch.setitem(simulation.ESTIMATORS, "naive", raising(ValueError("a defect")))
+        with pytest.raises(ValueError, match="a defect"):
+            run_estimators(data, spec, config.resampling(), RngStream(config.seed), ["naive"])
+        with pytest.raises(ValueError, match="a defect"):
+            run_replication(config, 0)
+
+        monkeypatch.setitem(simulation.ESTIMATORS, "naive", raising(EstimatorError("a refusal")))
+        naive, adjusted = run_replication(config, 0)
+        assert naive.error == "EstimatorError: a refusal" and math.isnan(naive.point)
+        assert adjusted.error is None and math.isfinite(adjusted.point)
 
 
 class TestSummarize:
@@ -256,6 +281,8 @@ class TestRunSimulation:
             SimConfig(scenario="X")
         with pytest.raises(ValueError):
             SimConfig(estimators=("nope",))
+        with pytest.raises(ValueError, match=r"repeated estimators: \['naive'\]"):
+            SimConfig(estimators=("naive", "dr", "naive"))
         # The resampling counts and the seed follow the library's own rules.
         with pytest.raises(ValueError, match="n_draws=1"):
             SimConfig(n_draws=1)
