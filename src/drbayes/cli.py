@@ -25,7 +25,6 @@ from .estimators import (
     ABS_STANDARDIZED,
     ESTIMATOR_LABELS,
     ESTIMATOR_ORDER,
-    ESTIMATORS,
     IDENTITY,
     CovariateSpec,
     Dataset,
@@ -37,6 +36,7 @@ from .simulation import (
     SCENARIOS,
     SimConfig,
     SimulationRow,
+    check_tags,
     error_text,
     run_estimators,
     run_simulation,
@@ -81,18 +81,16 @@ def _cell(value):
 
 
 def _parse_estimators(value):
+    """Tags from a list or a comma-separated string, checked by
+    :func:`check_tags`; None when ``value`` is unset."""
     if value is None:
         return None
     items = value if isinstance(value, (list, tuple)) else str(value).split(",")
     tags = [str(t).strip() for t in items if str(t).strip()]
-    unknown = [t for t in tags if t not in ESTIMATORS]
-    if unknown:
-        raise UsageError(
-            f"unknown estimators {unknown}; available: {ESTIMATOR_ORDER}"
-        )
-    repeated = sorted({t for t in tags if tags.count(t) > 1})
-    if repeated:
-        raise UsageError(f"repeated estimators {repeated}")
+    try:
+        check_tags(tags)
+    except ValueError as err:
+        raise UsageError(str(err))
     return tags
 
 

@@ -39,13 +39,13 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .glm import (
-    DesignMatrix,
     clever_covariate,
     cubic_ps_basis,
     cubic_ps_basis_jacobian,
@@ -129,6 +129,7 @@ def _per_dataset(build):
     the same data set with equal ``key`` reads one shared result.  A build
     that raises is not rerun: its exception is stored and raised again."""
 
+    @functools.wraps(build)
     def shared(data, *key):
         slot = (build, *key)
         if slot not in data._memo:
@@ -212,27 +213,27 @@ class CovariateSpec:
 
     def _matrix(self, data: Dataset, cols):
         values = np.empty((data.n, len(cols)))
-        labels = []
         for j, (idx, transform) in enumerate(cols):
             if idx >= data.x.shape[1]:
                 raise ValueError(
                     f"column index {idx} out of range for {data.x.shape[1]} covariates"
                 )
             col = data.x[:, idx]
-            name = data.column_names[idx]
-            if transform == ABS_STANDARDIZED:
-                values[:, j] = np.abs(col) * ABS_STD_SCALE
-                labels.append(f"abs({name})")
-            else:
-                values[:, j] = col
-                labels.append(name)
-        return values, labels
+            values[:, j] = np.abs(col) * ABS_STD_SCALE if transform == ABS_STANDARDIZED else col
+        return values
 
     def s_matrix(self, data: Dataset):
         return self._matrix(data, self.s_columns)
 
     def b_matrix(self, data: Dataset):
         return self._matrix(data, self.b_columns)
+
+    def labels(self, data: Dataset, treatment=False):
+        """Names of the s-columns, or with ``treatment`` the b-columns;
+        ``abs(name)`` for a transformed column."""
+        cols = self.b_columns if treatment else self.s_columns
+        names = data.column_names
+        return [f"abs({names[i]})" if t == ABS_STANDARDIZED else names[i] for i, t in cols]
 
 
 @dataclass(frozen=True)
@@ -279,52 +280,61 @@ def _result_from_draws(method, draws, diagnostics=None):
 # design construction
 
 
-def treatment_design(data: Dataset, spec: CovariateSpec) -> DesignMatrix:
-    """Propensity design ``(1, b-columns)``."""
-    bvals, blabels = spec.b_matrix(data)
-    values = np.column_stack([np.ones(data.n), bvals])
-    return DesignMatrix(values, ["intercept", *blabels])
+@_per_dataset
+def treatment_design(data: Dataset, spec: CovariateSpec) -> np.ndarray:
+    """Propensity design ``(1, b-columns)``, built once per data set and
+    read-only."""
+    design = np.column_stack([np.ones(data.n), spec.b_matrix(data)])
+    _freeze(design)
+    return design
 
 
-def plain_outcome_design(data: Dataset, spec: CovariateSpec) -> DesignMatrix:
-    """Outcome design ``(1, z, s-columns)``."""
-    svals, slabels = spec.s_matrix(data)
-    values = np.column_stack([np.ones(data.n), data.z, svals])
-    return DesignMatrix(values, ["intercept", "z", *slabels])
+@_per_dataset
+def plain_outcome_design(data: Dataset, spec: CovariateSpec) -> np.ndarray:
+    """Outcome design ``(1, z, s-columns)``, built once per data set and
+    read-only."""
+    design = np.column_stack([np.ones(data.n), data.z, spec.s_matrix(data)])
+    _freeze(design)
+    return design
 
 
-def ps_outcome_design(data: Dataset, spec: CovariateSpec, e) -> DesignMatrix:
+def ps_outcome_design(data: Dataset, spec: CovariateSpec, e) -> np.ndarray:
     """Outcome design augmented with the centered cubic basis of the fitted
     treatment probabilities."""
-    base = plain_outcome_design(data, spec)
-    values = np.column_stack([base.values, cubic_ps_basis(e)])
-    return DesignMatrix(values, [*base.column_labels, "ps^1", "ps^2", "ps^3"])
+    return np.column_stack([plain_outcome_design(data, spec), cubic_ps_basis(e)])
 
 
 def _clamp_ps(e):
     return np.clip(e, WEIGHT_CLIP, 1.0 - WEIGHT_CLIP)
 
 
-def _refusal(what, design, unexplained="", error=EstimatorError):
+def _refusal(what, data, spec, treatment=False, unexplained="", error=EstimatorError):
     """``error`` (an :class:`EstimatorError` class) for a fit that cannot be
-    used, naming the columns of ``design`` that the fits' rank rule drops
+    used, naming the columns of the plain outcome design, or with
+    ``treatment`` of the treatment design, that the fits' rank rule drops
     (:func:`~drbayes.glm.rank_deficient_columns`), or else adding
-    ``unexplained``."""
-    suspects = [design.column_labels[j] for j in rank_deficient_columns(design)]
+    ``unexplained``.  With ``spec`` None (no model) no columns are named."""
+    if spec is None:
+        return error(what)
+    if treatment:
+        design, labels = treatment_design(data, spec), ["intercept"]
+    else:
+        design, labels = plain_outcome_design(data, spec), ["intercept", "z"]
+    labels += spec.labels(data, treatment)
+    suspects = [labels[j] for j in rank_deficient_columns(design)]
     return error(f"{what}; collinear columns: {suspects}" if suspects else what + unexplained)
 
 
 @_per_dataset
 def _plain_outcome_fit(data: Dataset, spec: CovariateSpec):
-    """``(design, fit)``: the least-squares fit of the plain outcome design,
-    fit once per data set and refused when singular.  ``adjusted``,
-    ``joint`` and the ``or_ps_*`` fallback read it."""
-    design = plain_outcome_design(data, spec)
-    fit = fit_linear_weighted(design, data.y)
+    """The least-squares fit of the plain outcome design, fit once per data
+    set and refused when singular.  ``adjusted``, ``joint`` and the
+    ``or_ps_*`` fallback read it."""
+    fit = fit_linear_weighted(plain_outcome_design(data, spec), data.y)
     if not fit.ok:
-        raise _refusal("outcome design is singular", design)
-    _freeze(design.values, fit.phi, fit.cov)
-    return design, fit
+        raise _refusal("outcome design is singular", data, spec)
+    _freeze(fit.phi, fit.cov)
+    return fit
 
 
 @_per_dataset
@@ -336,11 +346,10 @@ def _ps_model(data: Dataset, spec: CovariateSpec):
     design = treatment_design(data, spec)
     fit = fit_logistic_weighted(design, data.z)
     if not np.all(np.isfinite(fit.gamma)):
-        raise _refusal(
-            "treatment-model fit abandoned by IRLS", design, " (diverged: separated arms?)"
-        )
+        what = "treatment-model fit abandoned by IRLS"
+        raise _refusal(what, data, spec, treatment=True, unexplained=" (diverged: separated arms?)")
     e = propensity(fit, design)
-    _freeze(design.values, fit.gamma, e)
+    _freeze(fit.gamma, e)
     diag = {
         "ps_converged": bool(fit.converged),
         "ps_iterations": int(fit.iterations),
@@ -425,21 +434,12 @@ def _bootstrap_counts(z, n_boot, gen):
     return counts.astype(float), redraws
 
 
-def _outcome_refusal(what, data, spec, error=EstimatorError):
-    """:func:`_refusal` on the plain outcome design; with ``spec`` None (no
-    outcome model) no columns are named."""
-    if spec is None:
-        return error(what)
-    return _refusal(what, plain_outcome_design(data, spec), error=error)
-
-
 def _check_draw_failures(n_failed, total, what, data=None, spec=None):
     """Refuse with :class:`DrawFailureError` when more than 10% of ``total``
-    draws failed (:func:`_outcome_refusal`)."""
+    draws failed (:func:`_refusal`)."""
     if n_failed > 0.1 * total:
-        raise _outcome_refusal(
-            f"{n_failed} of {total} {what} failed (more than 10%)", data, spec, DrawFailureError
-        )
+        message = f"{n_failed} of {total} {what} failed (more than 10%)"
+        raise _refusal(message, data, spec, error=DrawFailureError)
 
 
 def _treatment_refits(data, spec, W):
@@ -448,7 +448,7 @@ def _treatment_refits(data, spec, W):
     probabilities (failed rows evaluated at zero coefficients; callers drop
     them)."""
     design, fit, _, _ = _ps_model(data, spec)
-    batch = fit_logistic_weighted_many(design.values, data.z, W, start=fit.gamma)
+    batch = fit_logistic_weighted_many(design, data.z, W, start=fit.gamma)
     return batch, batch.prob
 
 
@@ -478,10 +478,10 @@ def _bootstrap_result(method, values, ok, redraws, diag, data, spec):
     """Result with the uniform row 0 as the point and the spread of the
     successful count rows as SE.  A failed row 0 is a singular full-sample
     outcome fit, or with ``spec`` None (no outcome model) a non-finite
-    estimate; the refusal is an :func:`_outcome_refusal`."""
+    estimate; the refusal is a :func:`_refusal`."""
     if not ok[0]:
         cause = "estimate is not finite" if spec is None else "outcome fit is singular"
-        raise _outcome_refusal(f"{method}: the full-sample {cause}", data, spec)
+        raise _refusal(f"{method}: the full-sample {cause}", data, spec)
     boot_ok = ok[1:]
     n_failed = int((~boot_ok).sum())
     _check_draw_failures(n_failed, boot_ok.shape[0], "bootstrap refits", data, spec)
@@ -508,7 +508,7 @@ def g_formula_adjusted(data, spec, cfg=None, rng=None):
     """Covariate-adjusted regression estimate: fit the outcome model by
     least squares and standardize over the empirical covariate distribution
     (equal to the treatment coefficient for this additive design)."""
-    fit = _plain_outcome_fit(data, spec)[1]
+    fit = _plain_outcome_fit(data, spec)
     return _result("adjusted", fit.phi[Z_COL], observed_info_se_treatment(fit))
 
 
@@ -535,64 +535,47 @@ def iptw(data, spec, cfg, rng):
 # outcome regression with propensity adjustment
 
 
-@dataclass
-class _OrPsParts:
-    ps_design: DesignMatrix
-    ps_fit: object
-    e: np.ndarray
-    outcome_design: DesignMatrix
-    outcome_fit: object
-    dropped: tuple
-    diag: dict
-
-
 @_per_dataset
 def _or_ps_parts(data, spec):
-    """The propensity-adjusted outcome fit shared by ``or_ps_info`` and
-    ``or_ps_sandwich``, fit once per data set; callers copy ``diag``."""
-    ps_design, ps_fit, e, diag = _ps_fit(data, spec)
+    """``(design, fit, dropped, diag)``: the propensity-adjusted outcome fit
+    shared by ``or_ps_info`` and ``or_ps_sandwich``, fit once per data set,
+    with the names of the columns it dropped; callers copy ``diag``."""
+    _, _, e, diag = _ps_fit(data, spec)
     design, dropped = ps_outcome_design(data, spec, e), ()
     fit = fit_linear_weighted(design, data.y)
     if not fit.ok:
         # A rank deficiency can be attributed to any member of a collinear
         # group, so the whole derived basis is dropped; the base columns are
         # part of the estimator's contract.
-        (design, fit), dropped = _plain_outcome_fit(data, spec), ("ps^1", "ps^2", "ps^3")
+        design, fit = plain_outcome_design(data, spec), _plain_outcome_fit(data, spec)
+        dropped = ("ps^1", "ps^2", "ps^3")
         diag["dropped_columns"] = list(dropped)
-    _freeze(design.values, fit.phi, fit.cov)
-    return _OrPsParts(ps_design, ps_fit, e, design, fit, dropped, diag)
+    _freeze(design, fit.phi, fit.cov)
+    return design, fit, dropped, diag
 
 
 def or_ps_info(data, spec, cfg=None, rng=None):
     """Propensity-adjusted outcome regression with the model-based
     (observed information) standard error."""
-    parts = _or_ps_parts(data, spec)
-    point = parts.outcome_fit.phi[Z_COL]
-    se = observed_info_se_treatment(parts.outcome_fit)
-    return _result("or_ps_info", point, se, diagnostics=dict(parts.diag))
+    _, fit, _, diag = _or_ps_parts(data, spec)
+    se = observed_info_se_treatment(fit)
+    return _result("or_ps_info", fit.phi[Z_COL], se, diagnostics=dict(diag))
 
 
 def or_ps_sandwich(data, spec, cfg=None, rng=None):
     """Propensity-adjusted outcome regression with the sandwich standard
     error that propagates first-stage estimation of the propensity model."""
-    parts = _or_ps_parts(data, spec)
-    point = parts.outcome_fit.phi[Z_COL]
-    jac = np.zeros((*parts.outcome_design.values.shape, parts.ps_design.p))
-    if not parts.dropped:
+    design, fit, dropped, diag = _or_ps_parts(data, spec)
+    ps_design, ps_fit, e, _ = _ps_model(data, spec)
+    jac = np.zeros((*design.shape, ps_design.shape[1]))
+    if not dropped:
         # Only the cubic basis columns, which come last, depend on gamma.
-        jac[:, -3:] = cubic_ps_basis_jacobian(parts.ps_design, parts.e)
+        jac[:, -3:] = cubic_ps_basis_jacobian(ps_design, e)
     variance = ps_adjusted_treatment_variance(
-        parts.outcome_fit,
-        parts.ps_fit,
-        data.y,
-        data.z,
-        parts.ps_design,
-        parts.outcome_design,
-        jac,
-        treatment_col=Z_COL,
+        fit, ps_fit, data.y, data.z, ps_design, design, jac, treatment_col=Z_COL
     )
     return _result(
-        "or_ps_sandwich", point, math.sqrt(max(variance, 0.0)), diagnostics=dict(parts.diag)
+        "or_ps_sandwich", fit.phi[Z_COL], math.sqrt(max(variance, 0.0)), diagnostics=dict(diag)
     )
 
 
@@ -607,7 +590,7 @@ def _dr_rows(data, spec, W, H):
     outcome fit (its standardization term).  Returns
     ``(values, ok, residual_terms)``."""
     y = data.y
-    design = plain_outcome_design(data, spec).values
+    design = plain_outcome_design(data, spec)
     lin = fit_linear_weighted_many(design, y, W)
     # W (y - m_obs) H, in place over the fitted values.
     terms = lin.phi @ design.T
@@ -638,7 +621,7 @@ def _clever_rows(data, spec, W, E, H):
     When the regressor is collinear in the full-sample row 0 it is dropped
     from every row.  Returns ``(values, ok, dropped_columns)``."""
     y = data.y
-    base = plain_outcome_design(data, spec).values
+    base = plain_outcome_design(data, spec)
     lin = fit_linear_weighted_many(base, y, W, extra=(H,))
     if not lin.ok[0]:
         lin = fit_linear_weighted_many(base, y, W)
@@ -665,7 +648,7 @@ def _or_iptw_rows(data, spec, W, H, stabilize):
     times the row's inverse treatment weights (from the clever covariates
     ``H``), per row of ``W``.  Returns ``(values, ok, treatment_weights)``."""
     w = _ipw_rows(data.z, W, H, stabilize)
-    lin = fit_linear_weighted_many(plain_outcome_design(data, spec).values, data.y, W * w)
+    lin = fit_linear_weighted_many(plain_outcome_design(data, spec), data.y, W * w)
     return lin.phi[:, Z_COL], lin.ok, w
 
 
@@ -718,7 +701,7 @@ def _two_step_draws(data, spec, cfg, rng):
     # Per-draw columns: the centered cubic basis of the draw's probabilities.
     d = e - e.mean(axis=1, keepdims=True)
     d2 = d * d
-    base = plain_outcome_design(data, spec).values
+    base = plain_outcome_design(data, spec)
     lin_batch = fit_linear_weighted_many(base, data.y, extra=(d, d2, d2 * d))
     ok = ps_batch.converged & lin_batch.ok
 
@@ -971,9 +954,9 @@ def joint_estimation(data, spec, cfg, rng):
     factor that checks positive definiteness.
     """
     y, z = data.y, data.z
-    ps_design, ps_fit, _, _ = _ps_model(data, spec)
-    bvals = ps_design.values
-    base = _plain_outcome_fit(data, spec)[0].values
+    bvals, ps_fit, _, _ = _ps_model(data, spec)
+    _plain_outcome_fit(data, spec)  # refuses a singular design, as ``adjusted`` does
+    base = plain_outcome_design(data, spec)
     p_phi = base.shape[1] + 3
     loglik = _joint_objective(y, z, base, bvals)
 
@@ -1000,7 +983,7 @@ def joint_estimation(data, spec, cfg, rng):
     except np.linalg.LinAlgError:
         pass
     if not gmax <= JOINT_GTOL:
-        raise _outcome_refusal(
+        raise _refusal(
             f"joint fit did not converge: max |concentrated gradient| {gmax:.3g} "
             f"(limit {JOINT_GTOL:g}; nan: singular block or non-finite Newton step) "
             f"after {stage}",

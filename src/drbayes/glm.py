@@ -12,13 +12,17 @@ linear case; a single fit is the kernel's one-row call, so every fit is
 judged by the same stopping rules.  One rank rule, a floor on the smallest
 eigenvalue of the correlation-scale Gram matrix (``_gram_rows_well_posed``),
 judges both families, on a linear fit's normal equations and on a logistic
-fit's first-iteration information, and names the columns at fault
+fit's first-iteration information, and finds the columns at fault
 (:func:`rank_deficient_columns`).  The fits report and do not decide:
 each returns its verdict with its estimate (``converged`` and
 ``separation`` for logistic fits, with NaN coefficients where IRLS
 abandoned a fit; ``ok`` for linear fits), and raises only ``ValueError``,
 for invalid arguments.  Whether a flagged fit is used is the caller's
 decision.
+
+The functions are numerical kernels on arrays only: each design is an
+ndarray, intercept first.  Designs and their column names belong to
+:mod:`drbayes.estimators`.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ import numpy as np
 from .numerics import PROB_CLIP, expit, logistic_
 
 __all__ = [
-    "DesignMatrix",
     "FittedLogistic",
     "FittedLinear",
     "fit_logistic_weighted",
@@ -57,31 +60,6 @@ SCORE_TOL = 1e-8
 
 
 @dataclass
-class DesignMatrix:
-    """Dense design with an explicit intercept and labelled columns."""
-
-    values: np.ndarray
-    column_labels: list[str]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.ndim != 2:
-            raise ValueError(f"design must be 2-d, got shape {self.values.shape}")
-        if len(self.column_labels) != self.values.shape[1]:
-            raise ValueError("column_labels length does not match design width")
-        if not np.all(self.values[:, 0] == 1.0):
-            raise ValueError("first design column must be the intercept (all ones)")
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    @property
-    def p(self):
-        return self.values.shape[1]
-
-
-@dataclass
 class FittedLogistic:
     """Logistic regression estimate with convergence metadata."""
 
@@ -99,10 +77,6 @@ class FittedLinear:
     sigma2: float
     cov: np.ndarray
     ok: bool
-
-
-def _as_values(design):
-    return design.values if isinstance(design, DesignMatrix) else np.asarray(design, float)
 
 
 # Relative eigenvalue floor, on the correlation scale, below which normal
@@ -143,7 +117,7 @@ def rank_deficient_columns(x):
     right, and each whose addition makes the Gram matrix of the kept
     columns fail the rule is dropped, so a repeated column names its later
     copy, and a design that fails the rule names at least one column."""
-    xv = _as_values(x)
+    xv = np.asarray(x, dtype=float)
     kept = []
     for j in range(xv.shape[1]):
         trial = xv[:, [*kept, j]]
@@ -190,7 +164,7 @@ def fit_logistic_weighted(x, z, weights=None):
 
     Parameters
     ----------
-    x : DesignMatrix or ndarray
+    x : array_like
         n x p design, intercept first.
     z : ndarray
         Binary response in {0, 1}.
@@ -207,7 +181,7 @@ def fit_logistic_weighted(x, z, weights=None):
         coefficients.  A coefficient exceeding 30 in absolute value, or a
         fit abandoned as diverging, sets the ``separation`` warning flag.
     """
-    xv = _as_values(x)
+    xv = np.asarray(x, dtype=float)
     weights = _check_weights(weights, xv.shape[0])
     batch = fit_logistic_weighted_many(xv, z, weights[None, :])
     return FittedLogistic(
@@ -251,7 +225,7 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     rows are used as given, since the Newton step does not depend on a
     row's scale.
     """
-    xv = _as_values(x)
+    xv = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
     m, n = weights.shape
     p = xv.shape[1]
@@ -356,7 +330,7 @@ def fit_linear_weighted(x, y, weights=None):
     ``ok`` is false when the weighted normal equations are rank deficient,
     and ``phi`` is then not finite.
     """
-    xv = _as_values(x)
+    xv = np.asarray(x, dtype=float)
     if weights is not None:
         weights = _check_weights(weights, xv.shape[0])[None, :]
     batch = fit_linear_weighted_many(xv, y, weights)
@@ -469,7 +443,7 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
 
 def propensity(fit, design):
     """Fitted treatment probabilities ``expit(X @ gamma)`` under ``fit``."""
-    xv = _as_values(design)
+    xv = np.asarray(design, dtype=float)
     if xv.shape[1] != fit.gamma.shape[0]:
         raise ValueError(
             f"design has {xv.shape[1]} columns but fit has {fit.gamma.shape[0]} coefficients"
@@ -501,7 +475,7 @@ def cubic_ps_basis_jacobian(ps_design, e):
     """
     e = np.asarray(e, dtype=float)
     d = e - e.mean()
-    vb = _as_values(ps_design) * (e * (1.0 - e))[:, None]
+    vb = np.asarray(ps_design, dtype=float) * (e * (1.0 - e))[:, None]
     powers = np.column_stack([np.ones_like(d), 2.0 * d, 3.0 * d * d])
     return powers[:, :, None] * (vb - vb.mean(axis=0))[:, None, :]
 
@@ -575,13 +549,13 @@ def ps_adjusted_treatment_variance(
     sigma2 = outcome_fit.sigma2
     if sigma2 <= 0.0:
         return 0.0
-    xout = _as_values(outcome_design)
+    xout = np.asarray(outcome_design, dtype=float)
     n = xout.shape[0]
     resid = y - xout @ phi
     u_phi = xout * resid[:, None] / sigma2
     a_phi = xout.T @ xout / (n * sigma2)
 
-    bv = _as_values(ps_design)
+    bv = np.asarray(ps_design, dtype=float)
     e = expit(bv @ ps_fit.gamma)
     u_gam = bv * (z - e)[:, None]
     a_gam = (bv * (e * (1.0 - e))[:, None]).T @ bv / n

@@ -21,7 +21,7 @@ from .estimators import (
     plain_outcome_design,
     treatment_design,
 )
-from .glm import DesignMatrix, clever_covariate, fit_linear_weighted, fit_logistic_weighted
+from .glm import clever_covariate, fit_linear_weighted, fit_logistic_weighted
 from .numerics import RngStream
 from .simulation import apply_scenario, generate_data
 
@@ -89,12 +89,10 @@ def check_uniform_weights_match_dr():
     )
 
 
-def clever_outcome_design(data: Dataset, spec: CovariateSpec, e) -> DesignMatrix:
+def clever_outcome_design(data: Dataset, spec: CovariateSpec, e) -> np.ndarray:
     """Outcome design augmented with the derived inverse-probability
     regressor ``z/e - (1-z)/(1-e)``."""
-    base = plain_outcome_design(data, spec)
-    values = np.column_stack([base.values, clever_covariate(data.z, e)])
-    return DesignMatrix(values, [*base.column_labels, "clever"])
+    return np.column_stack([plain_outcome_design(data, spec), clever_covariate(data.z, e)])
 
 
 def _clever_model_dr_terms(data, spec, corrupt_residual_sign=False):
@@ -105,8 +103,8 @@ def _clever_model_dr_terms(data, spec, corrupt_residual_sign=False):
     design = clever_outcome_design(data, spec, e)
     fit = fit_linear_weighted(design, y)
     phi = fit.phi
-    m_obs = design.values @ phi
-    cvals = design.values[:, -1]
+    m_obs = design @ phi
+    cvals = design[:, -1]
     m1 = m_obs + (1.0 - z) * phi[est.Z_COL] + phi[-1] * (1.0 / e - cvals)
     m0 = m_obs - z * phi[est.Z_COL] + phi[-1] * (-1.0 / (1.0 - e) - cvals)
     weights = np.full(data.n, 1.0 / data.n)
@@ -164,27 +162,20 @@ def check_saturated_outcome_kills_residual():
     data = _discrete_instance(12, seed=404)
     y, z = data.y, data.z
     s = data.x[:, 0]
-    ps_design = DesignMatrix(
-        np.column_stack([np.ones(data.n), s]), ["intercept", "s"]
-    )
-    outcome_design = DesignMatrix(
-        np.column_stack([np.ones(data.n), z, s, z * s]),
-        ["intercept", "z", "s", "z*s"],
-    )
+    ps_design = np.column_stack([np.ones(data.n), s])
+    outcome_design = np.column_stack([np.ones(data.n), z, s, z * s])
     gen = RngStream(404, 1).generator()
     worst = 0.0
     for _ in range(20):
         xi = gen.standard_exponential(data.n)
         xi /= xi.sum()
         ps_fit = fit_logistic_weighted(ps_design, z, weights=xi)
-        e = est._clamp_ps(
-            1.0 / (1.0 + np.exp(-(ps_design.values @ ps_fit.gamma)))
-        )
+        e = est._clamp_ps(1.0 / (1.0 + np.exp(-(ps_design @ ps_fit.gamma))))
         phi = fit_linear_weighted(outcome_design, y, weights=xi).phi
         # Brute-force oracle: the saturated fit must equal the weighted cell
         # means cell by cell.
         means = _cell_means(y, z, s, xi)
-        fitted = outcome_design.values @ phi
+        fitted = outcome_design @ phi
         cell_gap = max(
             abs(fitted[k] - means[(z[k], s[k])]) for k in range(data.n)
         )

@@ -53,6 +53,7 @@ __all__ = [
     "SimulationResult",
     "generate_data",
     "apply_scenario",
+    "check_tags",
     "run_estimators",
     "error_text",
     "run_replication",
@@ -79,6 +80,20 @@ SCENARIOS = {
 _DATA_KEY = 0
 
 
+def check_tags(tags):
+    """Require estimator ``tags`` to be known, at least one and none
+    repeated; raises ``ValueError`` otherwise."""
+    tags = list(tags)
+    if not tags:
+        raise ValueError("no estimators given")
+    unknown = [t for t in tags if t not in ESTIMATORS]
+    if unknown:
+        raise ValueError(f"unknown estimators {unknown}; available: {ESTIMATOR_ORDER}")
+    repeated = sorted({t for t in tags if tags.count(t) > 1})
+    if repeated:
+        raise ValueError(f"repeated estimators {repeated}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Configuration of one simulation run."""
@@ -100,12 +115,7 @@ class SimConfig:
             raise ValueError(f"need reps >= 2, got {self.reps}")
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        unknown = [t for t in self.estimators if t not in ESTIMATORS]
-        if unknown:
-            raise ValueError(f"unknown estimators: {unknown}")
-        repeated = sorted({t for t in self.estimators if self.estimators.count(t) > 1})
-        if repeated:
-            raise ValueError(f"repeated estimators: {repeated}")
+        check_tags(self.estimators)
         if self.threads < 1:
             raise ValueError("threads must be >= 1")
         # The library's own rules for the resampling counts and the seed.
@@ -191,16 +201,19 @@ def run_estimators(data, spec, cfg, rng, tags) -> dict:
     of ``rng`` named by its key in ``STREAM_KEYS``.
 
     Returns ``{tag: EstimateResult or the EstimatorError it raised}`` in
-    the order of ``tags``: a refusal becomes data, not a crash.  Any other
-    exception is a defect and propagates.  When both two-step variants are
-    requested they are computed together by ``two_step_pair``, from one set
-    of draws (identical to two separate calls).
+    the order of ``tags``: a refusal becomes data, not a crash.  Tags that
+    :func:`check_tags` rejects raise ``ValueError`` before any estimator
+    runs; any other exception is a defect and propagates.  When both
+    two-step variants are requested they are computed together by
+    ``two_step_pair``, from one set of draws (identical to two separate
+    calls).
     """
+    check_tags(tags)
     paired = all(tag in tags for tag in _TWO_STEP)
     # The pair runs first, before any bootstrap plan is held, which keeps
     # the peak memory of a replication lower.
     groups = [_TWO_STEP] if paired else []
-    groups += [(tag,) for tag in dict.fromkeys(tags) if not (paired and tag in _TWO_STEP)]
+    groups += [(tag,) for tag in tags if not (paired and tag in _TWO_STEP)]
     outcomes: dict = {}
     for group in groups:
         stream = rng.child(STREAM_KEYS[group[0]])
@@ -334,6 +347,7 @@ def run_simulation(config: SimConfig) -> SimulationResult:
 
     Replications are mutually independent and keyed by their index, so the
     ordered concatenation of results is identical for any worker count.
+    The pool starts no more workers than there are replications.
 
     On glibc, this process and every worker keep freed memory for reuse
     instead of returning it to the kernel: the setting is process-wide and
@@ -345,10 +359,9 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     _keep_freed_heap()
     if config.threads > 1:
         jobs = [(config, r) for r in range(config.reps)]
-        chunk = max(1, config.reps // (8 * config.threads))
-        with ProcessPoolExecutor(
-            max_workers=config.threads, initializer=_keep_freed_heap
-        ) as pool:
+        workers = min(config.threads, config.reps)
+        chunk = max(1, config.reps // (8 * workers))
+        with ProcessPoolExecutor(max_workers=workers, initializer=_keep_freed_heap) as pool:
             per_rep = list(pool.map(_replication_worker, jobs, chunksize=chunk))
     else:
         per_rep = [run_replication(config, r) for r in range(config.reps)]

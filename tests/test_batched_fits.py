@@ -441,7 +441,7 @@ def _treatment_plan(n, m, kind, seed):
         weights, _ = est._bootstrap_counts(data.z, m, gen)
     else:
         weights = est._dirichlet_rows(gen, m, n)
-    return design.values, data.z, weights, fit.gamma
+    return design, data.z, weights, fit.gamma
 
 
 class TestAgainstPreviousKernel:

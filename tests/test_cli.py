@@ -128,6 +128,16 @@ class TestSimulateCommand:
     def test_unknown_estimator_exit_2(self):
         assert main(["simulate", *FAST_ARGS, "--estimators", "nope"]) == 2
 
+    def test_no_estimators_exit_2_before_output(self, tmp_path, capsys):
+        # Both used to run all 13 estimators.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"estimators": []}))
+        out = tmp_path / "out"
+        for flags in (["--estimators", ","], ["--config", str(cfg)]):
+            assert main(["simulate", *FAST_ARGS, *flags, "--out", str(out)]) == 2
+            assert "no estimators given" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_repeated_estimator_exit_2_before_output(self, tmp_path, capsys):
         # A repeated tag used to summarize every replication twice.
         out = tmp_path / "out"
@@ -270,6 +280,16 @@ class TestEstimateCommand:
                 continue
             assert json.loads(row[5]) == {"error": "EstimatorError: treatment-model fit "
                                           "abandoned by IRLS; collinear columns: ['x2']"}, tag
+
+    def test_empty_estimators_exit_2(self, tmp_path, capsys):
+        # An empty list used to run all 13 estimators.
+        path = tmp_path / "ok.csv"
+        path.write_text("y,z\n1.0,0\n2.0,1\n0.5,0\n1.5,1\n")
+        code = main(["estimate", "--data", str(path), "--outcome", "y", "--treatment", "z",
+                     "--estimators", ""])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "no estimators given" in captured.err and captured.out == ""
 
     def test_repeated_estimator_exit_2(self, tmp_path, capsys):
         path = tmp_path / "ok.csv"

@@ -132,7 +132,7 @@ def importance_sampling_dr_value(data, spec, xi):
     e, _ = _single_draw_fits(data, spec, xi, stabilize=False)
     outcome_design = plain_outcome_design(data, spec)
     phi = fit_linear_weighted(outcome_design, y, weights=xi).phi
-    m_obs = outcome_design.values @ phi
+    m_obs = outcome_design @ phi
     m0 = m_obs - z * phi[est.Z_COL]
     m1 = m0 + phi[est.Z_COL]
     return dr_contrast(y, z, e, m_obs, m1, m0, xi)
@@ -255,7 +255,7 @@ class TestIptw:
 class TestDr:
     def test_zero_residuals_equals_adjusted(self):
         data, spec = _sim_data(n=150)
-        svals, _ = spec.s_matrix(data)
+        svals = spec.s_matrix(data)
         y_exact = 1.0 + 2.0 * data.z + svals @ np.array([0.5, -1.0, 0.25])
         exact = Dataset(y=y_exact, z=data.z, x=data.x, column_names=data.column_names)
         res = dr(exact, spec, CFG, RngStream(5, 0))
@@ -751,16 +751,16 @@ class TestMinimize:
 class TestJoint:
     @staticmethod
     def _loglik(data, spec):
-        base = est.plain_outcome_design(data, spec).values
-        bvals = est.treatment_design(data, spec).values
+        base = est.plain_outcome_design(data, spec)
+        bvals = est.treatment_design(data, spec)
         return base.shape[1] + 3, _joint_objective(data.y, data.z, base, bvals)
 
     @staticmethod
     def _full_value(data, spec, p_phi):
         """The reference log-likelihood over ``theta = (phi, gamma)``, for
         finite differences in the outcome block too."""
-        base = est.plain_outcome_design(data, spec).values
-        bvals = est.treatment_design(data, spec).values
+        base = est.plain_outcome_design(data, spec)
+        bvals = est.treatment_design(data, spec)
 
         def value(theta):
             gamma, phi = theta[p_phi:], theta[:p_phi]
@@ -880,8 +880,8 @@ class TestJoint:
         # objective.  The phi block of the concentrated gradient is zero up
         # to rounding, and returned as zeros without the Hessian.
         data, spec, p_phi, loglik = self._problem(n=n, seed=17)
-        base = est.plain_outcome_design(data, spec).values
-        bvals = est.treatment_design(data, spec).values
+        base = est.plain_outcome_design(data, spec)
+        bvals = est.treatment_design(data, spec)
         gen = RngStream(41).generator()
         start = est._ps_fit(data, spec)[1].gamma
 
@@ -1151,10 +1151,18 @@ class TestSharedPlan:
         info = est.or_ps_info(data, spec)
         info.diagnostics["extra"] = 1.0  # each caller extends its own copy
         assert "extra" not in est.or_ps_sandwich(data, spec).diagnostics
-        parts = est._or_ps_parts(data, spec)
-        for values in (parts.outcome_fit.phi, parts.outcome_fit.cov, parts.outcome_design.values):
+        design, fit, _, _ = est._or_ps_parts(data, spec)
+        for values in (fit.phi, fit.cov, design):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
+
+    def test_designs_built_once_and_read_only(self):
+        data, spec = _sim_data(n=100, seed=28)
+        for build in (est.treatment_design, est.plain_outcome_design):
+            design = build(data, spec)
+            assert build(data, spec) is design
+            with pytest.raises(ValueError, match="read-only"):
+                design[0, 0] = 2.0
 
     def test_bayesian_estimators_share_dirichlet_refits(self):
         data, spec, rep_rng = _replication_data(SHARED_CONFIG, 0)

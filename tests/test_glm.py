@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from drbayes.glm import (
-    DesignMatrix,
     clever_covariate,
     cubic_ps_basis,
     cubic_ps_basis_jacobian,
@@ -24,16 +23,6 @@ def _logistic_data(n, gamma, seed=0):
     x = np.column_stack([np.ones(n), gen.standard_normal((n, len(gamma) - 1))])
     z = (gen.random(n) < expit(x @ np.asarray(gamma))).astype(float)
     return x, z
-
-
-class TestDesignMatrix:
-    def test_requires_intercept_first(self):
-        with pytest.raises(ValueError, match="intercept"):
-            DesignMatrix(np.arange(6.0).reshape(3, 2), ["intercept", "a"])
-
-    def test_label_count_checked(self):
-        with pytest.raises(ValueError, match="column_labels"):
-            DesignMatrix(np.ones((3, 2)), ["intercept"])
 
 
 class TestLogisticFit:
@@ -106,10 +95,7 @@ class TestLogisticFit:
 
     def test_collinear_design_is_abandoned(self):
         x, z = _logistic_data(40, [0.1, 0.5], seed=26)
-        design = DesignMatrix(
-            np.column_stack([x, 2.0 * x[:, 1]]), ["intercept", "a", "a_copy"]
-        )
-        fit = fit_logistic_weighted(design, z)
+        fit = fit_logistic_weighted(np.column_stack([x, 2.0 * x[:, 1]]), z)
         assert not fit.converged
         assert not np.any(np.isfinite(fit.gamma))
 
@@ -165,8 +151,7 @@ class TestRankDeficientColumns:
         assert rank_deficient_columns(np.column_stack([x, x[:, 2]])) == [4]
         assert rank_deficient_columns(np.column_stack([x[:, :3], x[:, 1], x[:, 3]])) == [3]
         assert rank_deficient_columns(np.column_stack([x, np.full(60, 2.5)])) == [4]
-        labels = ["intercept", "a", "b", "c", "a_copy"]
-        assert rank_deficient_columns(DesignMatrix(np.column_stack([x, x[:, 1]]), labels)) == [4]
+        assert rank_deficient_columns(np.column_stack([x, x[:, 1]])) == [4]
 
     @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
     def test_full_rank_design_names_nothing(self, scale):
@@ -214,7 +199,7 @@ class TestLinearFit:
 
     def test_singular_design_is_flagged(self):
         x = np.column_stack([np.ones(10), np.arange(10.0), 2.0 * np.arange(10.0)])
-        fit = fit_linear_weighted(DesignMatrix(x, ["intercept", "a", "a_copy"]), np.arange(10.0))
+        fit = fit_linear_weighted(x, np.arange(10.0))
         assert not fit.ok
         assert not np.any(np.isfinite(fit.phi))
 
@@ -453,6 +438,7 @@ class TestSandwich:
         from drbayes.estimators import (
             CovariateSpec,
             _or_ps_parts,
+            _ps_model,
             or_ps_sandwich,
             ps_outcome_design,
         )
@@ -463,21 +449,16 @@ class TestSandwich:
             spec = apply_scenario(data, "I")
             if rep == 0:
                 spec = CovariateSpec(s_columns=spec.s_columns, b_columns=())
-            parts = _or_ps_parts(data, spec)
-            assert bool(parts.dropped) == (rep == 0)
-            kept = [
-                j
-                for j, label in enumerate(ps_outcome_design(data, spec, parts.e).column_labels)
-                if label not in parts.dropped
-            ]
-            bdes = parts.ps_design.values
+            design, outcome_fit, dropped, _ = _or_ps_parts(data, spec)
+            assert bool(dropped) == (rep == 0)
+            bdes, ps_fit, _, _ = _ps_model(data, spec)
+            # The dropped cubic columns are the last ones.
+            kept = design.shape[1]
 
             def build(gamma, data=data, spec=spec, bdes=bdes, kept=kept):
-                return ps_outcome_design(data, spec, expit(bdes @ gamma)).values[:, kept]
+                return ps_outcome_design(data, spec, expit(bdes @ gamma))[:, :kept]
 
-            oracle = _fd_adjusted_variance(
-                parts.outcome_fit, parts.ps_fit, data.y, data.z, bdes, build
-            )
+            oracle = _fd_adjusted_variance(outcome_fit, ps_fit, data.y, data.z, bdes, build)
             se = or_ps_sandwich(data, spec).se
             assert se == pytest.approx(np.sqrt(oracle), rel=1e-6), rep
 
@@ -495,8 +476,8 @@ class TestSandwich:
             ps_fit = fit_logistic_weighted(bdes, data.z)
 
             e = propensity(ps_fit, bdes)
-            x_out = ps_outcome_design(data, spec, e).values
-            jac = _cubic_design_jacobian(x_out.shape[1] - 3, bdes.values, e)
+            x_out = ps_outcome_design(data, spec, e)
+            jac = _cubic_design_jacobian(x_out.shape[1] - 3, bdes, e)
             outcome_fit = fit_linear_weighted(x_out, data.y)
             adj.append(
                 ps_adjusted_treatment_variance(

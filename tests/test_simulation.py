@@ -96,11 +96,12 @@ class TestApplyScenario:
 
     def test_round_trip_column_means(self):
         data = generate_data(200_000, RngStream(6, 0))
-        svals, labels = apply_scenario(data, "II").s_matrix(data)
+        spec = apply_scenario(data, "II")
+        svals = spec.s_matrix(data)
         target = math.sqrt(2.0 / math.pi) / math.sqrt(1.0 - 2.0 / math.pi)
         assert svals[:, 0].mean() == pytest.approx(target, abs=0.01)
         assert svals[:, 1].mean() == pytest.approx(0.0, abs=0.01)
-        assert labels[0] == "abs(x1)"
+        assert spec.labels(data)[0] == "abs(x1)"
 
     def test_unknown_scenario_rejected(self):
         data = generate_data(60, RngStream(7, 0))
@@ -149,6 +150,22 @@ class TestRunEstimators:
         naive, adjusted = run_replication(config, 0)
         assert naive.error == "EstimatorError: a refusal" and math.isnan(naive.point)
         assert adjusted.error is None and math.isfinite(adjusted.point)
+
+    @pytest.mark.parametrize(
+        "tags, message",
+        [
+            (["naive", "naive"], r"repeated estimators \['naive'\]"),
+            (["nope"], r"unknown estimators \['nope'\]"),
+            ([], "no estimators given"),
+        ],
+    )
+    def test_bad_tags_raise_value_error(self, tags, message):
+        # Repeated tags used to collapse into one entry, an unknown one to
+        # raise a bare KeyError.
+        data = generate_data(100, RngStream(5, 0))
+        spec = apply_scenario(data, "I")
+        with pytest.raises(ValueError, match=message):
+            run_estimators(data, spec, _fast_config().resampling(), RngStream(5), tags)
 
 
 class TestSummarize:
@@ -268,6 +285,30 @@ class TestRunSimulation:
         faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
         assert faults / config.reps < 1000
 
+    def test_pool_has_no_more_workers_than_replications(self, monkeypatch):
+        # Under fork every worker starts at the first submit, used or not.
+        started = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs, chunksize):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(simulation, "ProcessPoolExecutor", InlinePool)
+        config = _fast_config(reps=2, threads=32, estimators=("naive",))
+        result = run_simulation(config)
+        assert started == [2]
+        assert result.config.threads == 32
+        assert result.records == run_simulation(_fast_config(reps=2, estimators=("naive",))).records
+
     def test_estimator_filtering(self):
         result = run_simulation(_fast_config(estimators=("naive", "dr")))
         assert [row.estimator for row in result.rows] == ["naive", "dr"]
@@ -281,8 +322,10 @@ class TestRunSimulation:
             SimConfig(scenario="X")
         with pytest.raises(ValueError):
             SimConfig(estimators=("nope",))
-        with pytest.raises(ValueError, match=r"repeated estimators: \['naive'\]"):
+        with pytest.raises(ValueError, match=r"repeated estimators \['naive'\]"):
             SimConfig(estimators=("naive", "dr", "naive"))
+        with pytest.raises(ValueError, match="no estimators given"):
+            SimConfig(estimators=())
         # The resampling counts and the seed follow the library's own rules.
         with pytest.raises(ValueError, match="n_draws=1"):
             SimConfig(n_draws=1)
