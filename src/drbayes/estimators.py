@@ -53,8 +53,6 @@ from .glm import (
     fit_linear_weighted_many,
     fit_logistic_weighted,
     fit_logistic_weighted_many,
-    observed_info_se_treatment,
-    propensity,
     ps_adjusted_treatment_variance,
     rank_deficient_columns,
 )
@@ -339,16 +337,17 @@ def _plain_outcome_fit(data: Dataset, spec: CovariateSpec):
 
 @_per_dataset
 def _ps_model(data: Dataset, spec: CovariateSpec):
-    """Fit the treatment model.  This decides, for every estimator that
-    reads the full-sample treatment fit, whether the fit is used: a finite
-    fit is, with its convergence and separation verdicts flagged in
-    ``diag``; a fit IRLS abandoned (NaN coefficients) is refused."""
+    """``(design, fit, e, diag)`` of the treatment model, fit once per data
+    set; callers copy ``diag`` to extend it.  This decides, for every
+    estimator that reads the full-sample treatment fit, whether the fit is
+    used: a finite fit is, with its convergence and separation verdicts
+    flagged in ``diag``; a fit IRLS abandoned (NaN coefficients) is refused."""
     design = treatment_design(data, spec)
     fit = fit_logistic_weighted(design, data.z)
     if not np.all(np.isfinite(fit.gamma)):
         what = "treatment-model fit abandoned by IRLS"
         raise _refusal(what, data, spec, treatment=True, unexplained=" (diverged: separated arms?)")
-    e = propensity(fit, design)
+    e = expit(design @ fit.gamma)
     _freeze(fit.gamma, e)
     diag = {
         "ps_converged": bool(fit.converged),
@@ -357,13 +356,6 @@ def _ps_model(data: Dataset, spec: CovariateSpec):
         "ps_coef": tuple(float(g) for g in fit.gamma),
     }
     return design, fit, e, diag
-
-
-def _ps_fit(data: Dataset, spec: CovariateSpec):
-    """``(design, fit, e, diag)`` of the treatment model, fit once per data
-    set; each caller gets its own copy of ``diag`` to extend."""
-    design, fit, e, diag = _ps_model(data, spec)
-    return design, fit, e, dict(diag)
 
 
 def _ipw_rows(z, W, H, stabilize):
@@ -509,7 +501,7 @@ def g_formula_adjusted(data, spec, cfg=None, rng=None):
     least squares and standardize over the empirical covariate distribution
     (equal to the treatment coefficient for this additive design)."""
     fit = _plain_outcome_fit(data, spec)
-    return _result("adjusted", fit.phi[Z_COL], observed_info_se_treatment(fit))
+    return _result("adjusted", fit.phi[Z_COL], math.sqrt(fit.cov[Z_COL, Z_COL]))
 
 
 def _iptw_rows(data, W, H):
@@ -522,7 +514,7 @@ def _iptw_rows(data, W, H):
 def iptw(data, spec, cfg, rng):
     """Inverse probability of treatment weighting with unstabilized weights;
     bootstrap standard error refitting the treatment model per resample."""
-    diag = _ps_fit(data, spec)[3]
+    diag = dict(_ps_model(data, spec)[3])
     W, _, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
     w = _ipw_rows(data.z, W[:1], H[:1], stabilize=False)
     diag["weight_min"] = float(w.min())
@@ -540,7 +532,8 @@ def _or_ps_parts(data, spec):
     """``(design, fit, dropped, diag)``: the propensity-adjusted outcome fit
     shared by ``or_ps_info`` and ``or_ps_sandwich``, fit once per data set,
     with the names of the columns it dropped; callers copy ``diag``."""
-    _, _, e, diag = _ps_fit(data, spec)
+    _, _, e, diag = _ps_model(data, spec)
+    diag = dict(diag)
     design, dropped = ps_outcome_design(data, spec, e), ()
     fit = fit_linear_weighted(design, data.y)
     if not fit.ok:
@@ -558,7 +551,7 @@ def or_ps_info(data, spec, cfg=None, rng=None):
     """Propensity-adjusted outcome regression with the model-based
     (observed information) standard error."""
     _, fit, _, diag = _or_ps_parts(data, spec)
-    se = observed_info_se_treatment(fit)
+    se = math.sqrt(fit.cov[Z_COL, Z_COL])
     return _result("or_ps_info", fit.phi[Z_COL], se, diagnostics=dict(diag))
 
 
@@ -566,14 +559,10 @@ def or_ps_sandwich(data, spec, cfg=None, rng=None):
     """Propensity-adjusted outcome regression with the sandwich standard
     error that propagates first-stage estimation of the propensity model."""
     design, fit, dropped, diag = _or_ps_parts(data, spec)
-    ps_design, ps_fit, e, _ = _ps_model(data, spec)
-    jac = np.zeros((*design.shape, ps_design.shape[1]))
-    if not dropped:
-        # Only the cubic basis columns, which come last, depend on gamma.
-        jac[:, -3:] = cubic_ps_basis_jacobian(ps_design, e)
-    variance = ps_adjusted_treatment_variance(
-        fit, ps_fit, data.y, data.z, ps_design, design, jac, treatment_col=Z_COL
-    )
+    ps_design, _, e, _ = _ps_model(data, spec)
+    # Only the cubic basis columns, which come last, depend on gamma.
+    jac = cubic_ps_basis_jacobian(ps_design, e)[:, len(dropped) :]
+    variance = ps_adjusted_treatment_variance(fit, data.y, data.z, ps_design, e, design, jac)
     return _result(
         "or_ps_sandwich", fit.phi[Z_COL], math.sqrt(max(variance, 0.0)), diagnostics=dict(diag)
     )
@@ -605,7 +594,7 @@ def dr(data, spec, cfg, rng):
     """Semi-parametric doubly robust estimator: treatment-model fit on the
     b-columns, outcome model on the s-columns, residual reweighting plus
     standardization; bootstrap standard error refitting both models."""
-    diag = _ps_fit(data, spec)[3]
+    diag = dict(_ps_model(data, spec)[3])
     W, _, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
     values, fit_ok, residual = _dr_rows(data, spec, W, H)
     diag["residual_term"] = float(residual[0])
@@ -634,7 +623,7 @@ def clever_covariate_regression(data, spec, cfg, rng):
     """Outcome regression augmented with the derived inverse-probability
     regressor, standardized over the sample; identical to the doubly robust
     estimator with this outcome model.  Bootstrap standard error."""
-    diag = _ps_fit(data, spec)[3]
+    diag = dict(_ps_model(data, spec)[3])
     W, E, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
     values, fit_ok, dropped = _clever_rows(data, spec, W, E, H)
     if dropped:
@@ -656,7 +645,7 @@ def or_iptw(data, spec, cfg, rng):
     """Outcome regression fit by inverse-probability-weighted least squares,
     standardized over the empirical covariate distribution; bootstrap
     standard error refitting both models."""
-    diag = _ps_fit(data, spec)[3]
+    diag = dict(_ps_model(data, spec)[3])
     W, _, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
     values, fit_ok, w = _or_iptw_rows(data, spec, W, H, cfg.stabilize)
     diag["weight_min"] = float(w[0].min())

@@ -22,7 +22,10 @@ decision.
 
 The functions are numerical kernels on arrays only: each design is an
 ndarray, intercept first.  Designs and their column names belong to
-:mod:`drbayes.estimators`.
+:mod:`drbayes.estimators`.  So do fitted probabilities: the propensity
+sandwich (:func:`ps_adjusted_treatment_variance`) reads the caller's
+probabilities and the derivative of only the outcome columns that move
+with the propensity coefficients, and refits nothing.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .numerics import PROB_CLIP, expit, logistic_
+from .numerics import PROB_CLIP, expit, logistic_  # noqa: F401 (bench counts glm.expit)
 
 __all__ = [
     "FittedLogistic",
@@ -44,11 +47,9 @@ __all__ = [
     "rank_deficient_columns",
     "BatchLogistic",
     "BatchLinear",
-    "propensity",
     "cubic_ps_basis",
     "cubic_ps_basis_jacobian",
     "clever_covariate",
-    "observed_info_se_treatment",
     "fd_mean_score_cross_derivative",
     "ps_adjusted_treatment_variance",
 ]
@@ -441,16 +442,6 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
     return BatchLinear(phi, ok, xv, y, weights, cols, a)
 
 
-def propensity(fit, design):
-    """Fitted treatment probabilities ``expit(X @ gamma)`` under ``fit``."""
-    xv = np.asarray(design, dtype=float)
-    if xv.shape[1] != fit.gamma.shape[0]:
-        raise ValueError(
-            f"design has {xv.shape[1]} columns but fit has {fit.gamma.shape[0]} coefficients"
-        )
-    return expit(xv @ fit.gamma)
-
-
 def cubic_ps_basis(e):
     """Centered cubic polynomial basis of a probability vector.
 
@@ -487,15 +478,6 @@ def clever_covariate(z, e):
     return z / e - (1.0 - z) / (1.0 - e)
 
 
-def observed_info_se_treatment(outcome_fit, treatment_col=1):
-    """Model-based standard error of the treatment coefficient.
-
-    Square root of the corresponding diagonal entry of the fit covariance;
-    the propensity scores entering the design are treated as fixed.
-    """
-    return float(np.sqrt(outcome_fit.cov[treatment_col, treatment_col]))
-
-
 def fd_mean_score_cross_derivative(build_outcome_design, gamma, phi, sigma2, y, fd_step=1e-5):
     """Average derivative of the per-observation outcome score with respect
     to the propensity coefficients, by central finite differences with step
@@ -524,47 +506,42 @@ def fd_mean_score_cross_derivative(build_outcome_design, gamma, phi, sigma2, y, 
     return cross
 
 
-def ps_adjusted_treatment_variance(
-    outcome_fit, ps_fit, y, z, ps_design, outcome_design, design_jacobian, treatment_col=1
-):
-    """Sandwich variance of the treatment coefficient, propagating the
-    first-stage propensity fit.
+def ps_adjusted_treatment_variance(outcome_fit, y, z, ps_design, e, outcome_design, basis_jacobian):
+    """Sandwich variance of the treatment coefficient (column 1), propagating
+    the first-stage propensity fit ``e = expit(ps_design @ gamma)``.
 
-    ``outcome_design`` is the (n, p) outcome design at the fitted propensity
-    coefficients and ``design_jacobian`` its (n, p, q) derivative with
-    respect to them (zero for columns that do not involve the propensity).
-    The outcome-score/propensity-parameter cross derivative is then exact:
-    the sample mean of ``(dX_i' r_i - X_i (dX_i phi)) / sigma2``.  All
-    expectations are replaced by sample means.  A zero ``design_jacobian``
-    (an outcome design that does not involve the propensity) zeroes the
-    correction term, and the result is exactly the conventional robust
-    (HC0) sandwich of the outcome fit.
+    ``outcome_design`` is the (n, p) outcome design at ``gamma``; only its
+    last k columns depend on ``gamma``, and ``basis_jacobian`` is their
+    (n, k, q) derivative.  The outcome-score/propensity-parameter cross
+    derivative is then exact: the sample mean of ``(dX_i' r_i - X_i (dX_i
+    phi)) / sigma2``.  All expectations are replaced by sample means.  With
+    k = 0 (an outcome design that does not involve the propensity) the
+    correction term vanishes, and the result is exactly the conventional
+    robust (HC0) sandwich of the outcome fit.
 
     Returns the variance (not the standard error) of the treatment
     coefficient.
     """
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
     phi = outcome_fit.phi
     sigma2 = outcome_fit.sigma2
     if sigma2 <= 0.0:
         return 0.0
     xout = np.asarray(outcome_design, dtype=float)
-    n = xout.shape[0]
+    n, p = xout.shape
     resid = y - xout @ phi
     u_phi = xout * resid[:, None] / sigma2
     a_phi = xout.T @ xout / (n * sigma2)
 
     bv = np.asarray(ps_design, dtype=float)
-    e = expit(bv @ ps_fit.gamma)
     u_gam = bv * (z - e)[:, None]
     a_gam = (bv * (e * (1.0 - e))[:, None]).T @ bv / n
-    cross = (
-        np.einsum("iaj,i->aj", design_jacobian, resid)
-        - xout.T @ np.einsum("ibj,b->ij", design_jacobian, phi)
-    ) / (n * sigma2)
+    # -X'(dX phi) in every row, plus dX' r in the rows of the k moving columns.
+    k = basis_jacobian.shape[1]
+    cross = -(xout.T @ np.einsum("ibj,b->ij", basis_jacobian, phi[p - k :]))
+    cross[p - k :] += np.einsum("iaj,i->aj", basis_jacobian, resid)
+    cross /= n * sigma2
     b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
     v_b = b_mat.T @ b_mat / n
     tmp = np.linalg.solve(a_phi, v_b)
     avar = np.linalg.solve(a_phi, tmp.T).T
-    return float(avar[treatment_col, treatment_col] / n)
+    return float(avar[1, 1] / n)

@@ -97,7 +97,7 @@ def clever_outcome_design(data: Dataset, spec: CovariateSpec, e) -> np.ndarray:
 
 def _clever_model_dr_terms(data, spec, corrupt_residual_sign=False):
     """DR contrast evaluated with the clever-covariate outcome model."""
-    _, _, e_raw, _ = est._ps_fit(data, spec)
+    _, _, e_raw, _ = est._ps_model(data, spec)
     e = est._clamp_ps(e_raw)
     z, y = data.z, data.y
     design = clever_outcome_design(data, spec, e)

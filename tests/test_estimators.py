@@ -37,7 +37,6 @@ from drbayes.glm import (
     cubic_ps_basis_jacobian,
     fit_linear_weighted,
     fit_logistic_weighted,
-    propensity,
 )
 from drbayes.numerics import RngStream, expit
 from drbayes.selfcheck import clever_outcome_design
@@ -108,7 +107,7 @@ def _single_draw_fits(data, spec, xi, stabilize):
     z = data.z
     ps_design = treatment_design(data, spec)
     ps_fit = fit_logistic_weighted(ps_design, z, weights=xi)
-    e = est._clamp_ps(propensity(ps_fit, ps_design))
+    e = est._clamp_ps(expit(ps_design @ ps_fit.gamma))
     num1 = num0 = 1.0
     if stabilize:
         num1 = float(np.sum(xi * z) / np.sum(xi))
@@ -347,7 +346,7 @@ class TestUnstabilizedWeights:
         res = or_iptw(data, spec, self.UNSTABILIZED, RngStream(27, 0))
         ps_design = treatment_design(data, spec)
         e = np.clip(
-            propensity(fit_logistic_weighted(ps_design, data.z), ps_design),
+            expit(ps_design @ fit_logistic_weighted(ps_design, data.z).gamma),
             est.WEIGHT_CLIP,
             1.0 - est.WEIGHT_CLIP,
         )
@@ -806,7 +805,7 @@ class TestJoint:
             value, grad, _, _ = loglik(gamma)
             return -value, -grad[p_phi:]
 
-        start = est._ps_fit(data, spec)[1].gamma
+        start = est._ps_model(data, spec)[1].gamma
         options = {"gtol": 1e-8, "maxiter": 1000}
         reference = minimize(neg_concentrated, start, jac=True, method="BFGS", options=options)
         np.testing.assert_allclose(res.diagnostics["ps_coef"], reference.x, rtol=1e-6)
@@ -883,7 +882,7 @@ class TestJoint:
         base = est.plain_outcome_design(data, spec)
         bvals = est.treatment_design(data, spec)
         gen = RngStream(41).generator()
-        start = est._ps_fit(data, spec)[1].gamma
+        start = est._ps_model(data, spec)[1].gamma
 
         def close(new, old):
             new, old = np.asarray(new), np.asarray(old)
@@ -949,7 +948,7 @@ class TestJoint:
                 value, grad, _, _ = loglik(gamma)
                 return -value, -grad[p_phi:]
 
-            start = est._ps_fit(data, spec)[1].gamma
+            start = est._ps_model(data, spec)[1].gamma
             reference = scipy_search(neg_concentrated, start, gtol=1e-8, maxiter=1000)
             np.testing.assert_allclose(ours.diagnostics["ps_coef"], reference.x, rtol=1e-6)
 
@@ -1220,11 +1219,12 @@ class TestSharedPlan:
 
         data, spec = _sim_data(n=100, seed=25)
         rng = RngStream(25, 0).child(STREAM_KEYS["iptw"])
-        _, fit, e, diag = est._ps_fit(data, spec)
+        _, fit, e, _ = est._ps_model(data, spec)
         W, E, H, ok, _ = est._count_plan(data, spec, rng, 20)
         xi, dirichlet_batch, e_d, H_d = est._dirichlet_plan(data, spec, rng, 20)
         for values in (fit.gamma, e, W, E, H, ok, xi, dirichlet_batch.gamma, e_d, H_d):
             with pytest.raises(ValueError, match="read-only"):
                 values[0] = 1.0
-        diag["extra"] = 1.0  # each caller extends its own copy
-        assert "extra" not in est._ps_fit(data, spec)[3]
+        # An estimator extends its own copy of the treatment fit's diagnostics.
+        assert "weight_max" in iptw(data, spec, CFG, rng).diagnostics
+        assert "weight_max" not in est._ps_model(data, spec)[3]

@@ -10,8 +10,6 @@ from drbayes.glm import (
     fit_linear_weighted_many,
     fit_logistic_weighted,
     fit_logistic_weighted_many,
-    observed_info_se_treatment,
-    propensity,
     ps_adjusted_treatment_variance,
     rank_deficient_columns,
 )
@@ -246,35 +244,6 @@ class TestLinearFit:
 
 
 class TestPropensityAndBases:
-    def test_zero_coefficients_give_half(self):
-        x, z = _logistic_data(20, [0.0, 0.0], seed=16)
-        fit = fit_logistic_weighted(x, z)
-        fit.gamma[:] = 0.0
-        np.testing.assert_allclose(propensity(fit, x), 0.5)
-
-    def test_monotone_in_positive_coefficient(self):
-        x = np.column_stack([np.ones(50), np.linspace(-3, 3, 50)])
-        fit = fit_logistic_weighted(*_logistic_data(50, [0.1, 0.9], seed=17))
-        probs = propensity(fit, x)
-        if fit.gamma[1] > 0:
-            assert np.all(np.diff(probs) > 0)
-        else:
-            assert np.all(np.diff(probs) < 0)
-
-    def test_single_row_matches_hand_expit(self):
-        x, z = _logistic_data(60, [0.3, -0.4], seed=18)
-        fit = fit_logistic_weighted(x, z)
-        row = np.array([[1.0, 2.5]])
-        assert propensity(fit, row)[0] == pytest.approx(
-            float(expit(fit.gamma[0] + 2.5 * fit.gamma[1])), abs=1e-12
-        )
-
-    def test_dimension_mismatch(self):
-        x, z = _logistic_data(30, [0.0, 0.5], seed=19)
-        fit = fit_logistic_weighted(x, z)
-        with pytest.raises(ValueError, match="columns"):
-            propensity(fit, np.ones((4, 3)))
-
     def test_cubic_basis_centering(self):
         e = np.array([0.2, 0.8])
         basis = cubic_ps_basis(e)
@@ -293,14 +262,6 @@ class TestPropensityAndBases:
         assert clever_covariate(1.0, 0.5) == pytest.approx(2.0)
         assert clever_covariate(0.0, 0.25) == pytest.approx(-4.0 / 3.0)
         assert clever_covariate(1.0, 0.25) == pytest.approx(4.0)
-
-
-def _cubic_design_jacobian(p_base, bdes, e):
-    """(n, p_base + 3, q) derivative of an outcome design whose last three
-    columns are the cubic basis of ``e = expit(bdes @ gamma)``."""
-    jac = np.zeros((e.shape[0], p_base + 3, bdes.shape[1]))
-    jac[:, p_base:] = cubic_ps_basis_jacobian(bdes, e)
-    return jac
 
 
 def _fd_adjusted_variance(outcome_fit, ps_fit, y, z, bdes, build, treatment_col=1):
@@ -336,8 +297,8 @@ def _sandwich_instance(n, seed):
 
     x_out = build(ps_fit.gamma)
     outcome_fit = fit_linear_weighted(x_out, y)
-    jac = _cubic_design_jacobian(3, bdes, expit(bdes @ ps_fit.gamma))
-    return y, z, s, bdes, ps_fit, outcome_fit, build, jac
+    e = expit(bdes @ ps_fit.gamma)
+    return y, z, bdes, ps_fit, e, outcome_fit, build, cubic_ps_basis_jacobian(bdes, e)
 
 
 class TestSandwich:
@@ -349,14 +310,12 @@ class TestSandwich:
         resid = y - x @ fit.phi
         sigma2 = float(resid @ resid / 40)
         oracle = np.sqrt(sigma2 * np.linalg.inv(x.T @ x)[1, 1])
-        assert observed_info_se_treatment(fit) == pytest.approx(oracle, rel=1e-10)
+        assert np.sqrt(fit.cov[1, 1]) == pytest.approx(oracle, rel=1e-10)
 
     def test_correction_free_variant_equals_hc0(self):
-        y, z, s, bdes, ps_fit, outcome_fit, build, jac = _sandwich_instance(300, seed=21)
+        y, z, bdes, ps_fit, e, outcome_fit, build, jac = _sandwich_instance(300, seed=21)
         x_out = build(ps_fit.gamma)
-        var = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, x_out, np.zeros_like(jac)
-        )
+        var = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, x_out, jac[:, :0])
         resid = y - x_out @ outcome_fit.phi
         bread = np.linalg.inv(x_out.T @ x_out)
         meat = (x_out * resid[:, None]).T @ (x_out * resid[:, None])
@@ -373,15 +332,14 @@ class TestSandwich:
         bdes = np.column_stack([np.ones(n), b])
         z = (gen.random(n) < expit(0.4 * b)).astype(float)
         y = z + s + gen.standard_normal(n)
-        ps_fit = fit_logistic_weighted(bdes, z)
+        e = expit(bdes @ fit_logistic_weighted(bdes, z).gamma)
         x_out = np.column_stack([np.ones(n), z, s])
         outcome_fit = fit_linear_weighted(x_out, y)
+        # Every column as a "basis" column with zero derivative, against none.
         jac = np.zeros((n, 3, 2))
 
-        with_corr = ps_adjusted_treatment_variance(outcome_fit, ps_fit, y, z, bdes, x_out, jac)
-        without = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, x_out, np.zeros_like(jac)
-        )
+        with_corr = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, x_out, jac)
+        without = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, x_out, jac[:, :0])
         assert with_corr == pytest.approx(without, abs=1e-8)
 
     def test_fd_cross_derivative_matches_analytic(self):
@@ -424,10 +382,8 @@ class TestSandwich:
         np.testing.assert_allclose(fd, analytic, atol=1e-6)
 
     def test_exact_cross_derivative_matches_fd_variance(self):
-        y, z, s, bdes, ps_fit, outcome_fit, build, jac = _sandwich_instance(300, seed=24)
-        var = ps_adjusted_treatment_variance(
-            outcome_fit, ps_fit, y, z, bdes, build(ps_fit.gamma), jac
-        )
+        y, z, bdes, ps_fit, e, outcome_fit, build, jac = _sandwich_instance(300, seed=24)
+        var = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, build(ps_fit.gamma), jac)
         oracle = _fd_adjusted_variance(outcome_fit, ps_fit, y, z, bdes, build)
         assert var == pytest.approx(oracle, rel=1e-6)
 
@@ -475,18 +431,16 @@ class TestSandwich:
             bdes = treatment_design(data, spec)
             ps_fit = fit_logistic_weighted(bdes, data.z)
 
-            e = propensity(ps_fit, bdes)
+            e = expit(bdes @ ps_fit.gamma)
             x_out = ps_outcome_design(data, spec, e)
-            jac = _cubic_design_jacobian(x_out.shape[1] - 3, bdes, e)
+            jac = cubic_ps_basis_jacobian(bdes, e)
             outcome_fit = fit_linear_weighted(x_out, data.y)
             adj.append(
-                ps_adjusted_treatment_variance(
-                    outcome_fit, ps_fit, data.y, data.z, bdes, x_out, jac
-                )
+                ps_adjusted_treatment_variance(outcome_fit, data.y, data.z, bdes, e, x_out, jac)
             )
             unadj.append(
                 ps_adjusted_treatment_variance(
-                    outcome_fit, ps_fit, data.y, data.z, bdes, x_out, np.zeros_like(jac)
+                    outcome_fit, data.y, data.z, bdes, e, x_out, jac[:, :0]
                 )
             )
         assert np.mean(adj) < np.mean(unadj)
