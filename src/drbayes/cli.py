@@ -200,8 +200,7 @@ def cmd_simulate(args):
             for key, (field, _) in _CONFIG_FIELDS.items()
             if field is not None
         },
-        "mc_error_batches": result.mc_error_batches,
-        "mc_error_batch_rule": "floor(sqrt(reps))",
+        "mc_error_batch_rule": "per estimator: floor(sqrt(successful replications)) batches",
         "elapsed_seconds": result.elapsed_seconds,
         "estimator_failures": failure_counts,
         "warnings": warnings,

@@ -48,7 +48,6 @@ import numpy as np
 from .glm import (
     clever_covariate,
     cubic_ps_basis,
-    cubic_ps_basis_jacobian,
     fit_linear_weighted,
     fit_linear_weighted_many,
     fit_logistic_weighted,
@@ -434,16 +433,6 @@ def _check_draw_failures(n_failed, total, what, data=None, spec=None):
         raise _refusal(message, data, spec, error=DrawFailureError)
 
 
-def _treatment_refits(data, spec, W):
-    """The treatment model refit under each row of ``W``, warm-started at
-    the full-sample fit: ``(batch, e)`` with the unclamped fitted
-    probabilities (failed rows evaluated at zero coefficients; callers drop
-    them)."""
-    design, fit, _, _ = _ps_model(data, spec)
-    batch = fit_logistic_weighted_many(design, data.z, W, start=fit.gamma)
-    return batch, batch.prob
-
-
 @_per_dataset
 def _count_plan(data, spec, rng, n_boot):
     """Bootstrap plan shared by ``iptw``, ``dr``, ``clever`` and ``or_iptw``:
@@ -454,11 +443,11 @@ def _count_plan(data, spec, rng, n_boot):
     ``z/E - (1-z)/(1-E)`` (read by ``dr`` and ``clever``), and ``ok``
     whether each row's treatment fit converged (row 0 always: a finite
     full-sample fit is kept, flagged)."""
-    _, _, e, _ = _ps_model(data, spec)
+    design, fit, e, _ = _ps_model(data, spec)
     counts, redraws = _bootstrap_counts(data.z, n_boot, rng.child(_SUB_WEIGHTS).generator())
-    batch, e_b = _treatment_refits(data, spec, counts)
+    batch = fit_logistic_weighted_many(design, data.z, counts, start=fit.gamma)
     W = np.vstack([np.ones(data.n), counts])
-    E = np.vstack([e, e_b])
+    E = np.vstack([e, batch.prob])
     np.clip(E, WEIGHT_CLIP, 1.0 - WEIGHT_CLIP, out=E)
     H = clever_covariate(data.z, E)
     ok = np.concatenate([[True], batch.converged])
@@ -561,8 +550,8 @@ def or_ps_sandwich(data, spec, cfg=None, rng=None):
     design, fit, dropped, diag = _or_ps_parts(data, spec)
     ps_design, _, e, _ = _ps_model(data, spec)
     # Only the cubic basis columns, which come last, depend on gamma.
-    jac = cubic_ps_basis_jacobian(ps_design, e)[:, len(dropped) :]
-    variance = ps_adjusted_treatment_variance(fit, data.y, data.z, ps_design, e, design, jac)
+    k = 3 - len(dropped)
+    variance = ps_adjusted_treatment_variance(fit, data.y, data.z, ps_design, e, design, k)
     return _result(
         "or_ps_sandwich", fit.phi[Z_COL], math.sqrt(max(variance, 0.0)), diagnostics=dict(diag)
     )
@@ -672,8 +661,10 @@ def _dirichlet_plan(data, spec, rng, n_draws):
     probabilities (read by the two-step basis) and the clever covariate
     ``z/E - (1-z)/(1-E)`` of the clamped ones ``E`` (read by ``is`` and
     ``is_dr``)."""
+    design, fit, _, _ = _ps_model(data, spec)
     xi = _dirichlet_rows(rng.child(_SUB_WEIGHTS).generator(), n_draws, data.n)
-    batch, e = _treatment_refits(data, spec, xi)
+    batch = fit_logistic_weighted_many(design, data.z, xi, start=fit.gamma)
+    e = batch.prob
     H = clever_covariate(data.z, _clamp_ps(e))
     _freeze(xi, batch.gamma, batch.converged, e, H)
     return xi, batch, e, H

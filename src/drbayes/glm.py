@@ -24,8 +24,9 @@ The functions are numerical kernels on arrays only: each design is an
 ndarray, intercept first.  Designs and their column names belong to
 :mod:`drbayes.estimators`.  So do fitted probabilities: the propensity
 sandwich (:func:`ps_adjusted_treatment_variance`) reads the caller's
-probabilities and the derivative of only the outcome columns that move
-with the propensity coefficients, and refits nothing.
+probabilities, takes the derivative of the cubic basis columns that move
+with the propensity coefficients itself, by the chain rule, and refits
+nothing; without basis columns it is the HC0 sandwich.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ __all__ = [
     "BatchLogistic",
     "BatchLinear",
     "cubic_ps_basis",
-    "cubic_ps_basis_jacobian",
     "clever_covariate",
     "fd_mean_score_cross_derivative",
     "ps_adjusted_treatment_variance",
@@ -456,21 +456,6 @@ def cubic_ps_basis(e):
     return np.column_stack([d, d * d, d * d * d])
 
 
-def cubic_ps_basis_jacobian(ps_design, e):
-    """Derivative of :func:`cubic_ps_basis` with respect to the propensity
-    coefficients, for ``e = expit(B @ gamma)``; an (n, 3, q) array.
-
-    By the chain rule the centered probabilities ``d = e - mean(e)`` move by
-    ``v B - mean(v B)`` with ``v = e (1 - e)``, and column k of the basis
-    by ``k d^(k-1)`` times that.
-    """
-    e = np.asarray(e, dtype=float)
-    d = e - e.mean()
-    vb = np.asarray(ps_design, dtype=float) * (e * (1.0 - e))[:, None]
-    powers = np.column_stack([np.ones_like(d), 2.0 * d, 3.0 * d * d])
-    return powers[:, :, None] * (vb - vb.mean(axis=0))[:, None, :]
-
-
 def clever_covariate(z, e):
     """Derived regressor ``z / e - (1 - z) / (1 - e)``."""
     z = np.asarray(z, dtype=float)
@@ -506,18 +491,21 @@ def fd_mean_score_cross_derivative(build_outcome_design, gamma, phi, sigma2, y, 
     return cross
 
 
-def ps_adjusted_treatment_variance(outcome_fit, y, z, ps_design, e, outcome_design, basis_jacobian):
+def ps_adjusted_treatment_variance(outcome_fit, y, z, ps_design, e, outcome_design, k):
     """Sandwich variance of the treatment coefficient (column 1), propagating
     the first-stage propensity fit ``e = expit(ps_design @ gamma)``.
 
     ``outcome_design`` is the (n, p) outcome design at ``gamma``; only its
-    last k columns depend on ``gamma``, and ``basis_jacobian`` is their
-    (n, k, q) derivative.  The outcome-score/propensity-parameter cross
-    derivative is then exact: the sample mean of ``(dX_i' r_i - X_i (dX_i
-    phi)) / sigma2``.  All expectations are replaced by sample means.  With
-    k = 0 (an outcome design that does not involve the propensity) the
-    correction term vanishes, and the result is exactly the conventional
-    robust (HC0) sandwich of the outcome fit.
+    last ``k`` columns depend on ``gamma``, and they are the first ``k``
+    columns of ``cubic_ps_basis(e)``.  Their derivative follows by the chain
+    rule: ``d = e - mean(e)`` moves by ``dd = v B - mean(v B)`` with ``v = e
+    (1 - e)``, and basis column j by ``j d^(j-1) dd``.  The
+    outcome-score/propensity-parameter cross derivative, the sample mean of
+    ``(dX_i' r_i - X_i (dX_i phi)) / sigma2``, is then exact.  All
+    expectations are replaced by sample means.  With k = 0 (an outcome
+    design that does not involve the propensity) the correction term
+    vanishes, and the result is exactly the conventional robust (HC0)
+    sandwich of the outcome fit.
 
     Returns the variance (not the standard error) of the treatment
     coefficient.
@@ -534,11 +522,14 @@ def ps_adjusted_treatment_variance(outcome_fit, y, z, ps_design, e, outcome_desi
 
     bv = np.asarray(ps_design, dtype=float)
     u_gam = bv * (z - e)[:, None]
-    a_gam = (bv * (e * (1.0 - e))[:, None]).T @ bv / n
-    # -X'(dX phi) in every row, plus dX' r in the rows of the k moving columns.
-    k = basis_jacobian.shape[1]
-    cross = -(xout.T @ np.einsum("ibj,b->ij", basis_jacobian, phi[p - k :]))
-    cross[p - k :] += np.einsum("iaj,i->aj", basis_jacobian, resid)
+    vb = bv * (e * (1.0 - e))[:, None]
+    a_gam = vb.T @ bv / n
+    d = e - e.mean()
+    dd = vb - vb.mean(axis=0)
+    powers = np.column_stack([np.ones_like(d), 2.0 * d, 3.0 * d * d])[:, :k]
+    # -X'(dX phi) in every row, plus dX' r in the rows of the k basis columns.
+    cross = -(xout.T @ ((powers @ phi[p - k :])[:, None] * dd))
+    cross[p - k :] += (powers * resid[:, None]).T @ dd
     cross /= n * sigma2
     b_mat = u_phi + u_gam @ np.linalg.solve(a_gam, cross.T)
     v_b = b_mat.T @ b_mat / n

@@ -22,6 +22,7 @@ from .estimators import (
     treatment_design,
 )
 from .glm import clever_covariate, fit_linear_weighted, fit_logistic_weighted
+from .glm import fit_logistic_weighted_many
 from .numerics import RngStream
 from .simulation import apply_scenario, generate_data
 
@@ -47,8 +48,9 @@ def _flat_row(data, spec):
     """A flat weight row (1/n per observation) and the clever covariate of
     its clamped treatment probabilities, refit through the batched path of
     the Dirichlet plan."""
+    design, fit, _, _ = est._ps_model(data, spec)
     flat = np.full((1, data.n), 1.0 / data.n)
-    _, e = est._treatment_refits(data, spec, flat)
+    e = fit_logistic_weighted_many(design, data.z, flat, start=fit.gamma).prob
     return flat, clever_covariate(data.z, est._clamp_ps(e))
 
 

@@ -161,7 +161,6 @@ class SimulationResult:
     records: list
     rows: list
     elapsed_seconds: float
-    mc_error_batches: int
 
 
 def generate_data(n, rng: RngStream) -> Dataset:
@@ -258,8 +257,9 @@ def summarize(records, estimators=None, truth=TRUE_CONTRAST) -> list:
 
     Reported per estimator: mean point estimate, relative bias against the
     truth, Monte Carlo standard deviation of the points, mean standard
-    error, batch-means Monte Carlo error of the mean point (batch count
-    ``floor(sqrt(R))``), and coverage of the nominal 95% intervals.
+    error, batch-means Monte Carlo error of the mean point (over the
+    estimator's successful replications, in ``floor(sqrt(count))`` batches;
+    NaN below 2 batches), and coverage of the nominal 95% intervals.
     Estimators with more than 10% failed replications are flagged
     incomplete.
     """
@@ -285,11 +285,8 @@ def summarize(records, estimators=None, truth=TRUE_CONTRAST) -> list:
         points = np.array([r.point for r in good])
         ses = np.array([r.se for r in good])
         covered = np.array([r.covered for r in good])
-        n_batches = int(math.floor(math.sqrt(points.shape[0])))
-        if n_batches >= 2 and points.shape[0] >= 2 * n_batches:
-            mc_err = batch_means_error(points, n_batches)
-        else:
-            mc_err = float("nan")
+        n_batches = math.isqrt(points.shape[0])
+        mc_err = batch_means_error(points, n_batches) if n_batches >= 2 else float("nan")
         rows.append(
             SimulationRow(
                 estimator=tag,
@@ -368,10 +365,4 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     records = [rec for rep in per_rep for rec in rep]
     rows = summarize(records, estimators=list(config.estimators))
     elapsed = time.perf_counter() - start
-    return SimulationResult(
-        config=config,
-        records=records,
-        rows=rows,
-        elapsed_seconds=elapsed,
-        mc_error_batches=int(math.floor(math.sqrt(config.reps))),
-    )
+    return SimulationResult(config=config, records=records, rows=rows, elapsed_seconds=elapsed)

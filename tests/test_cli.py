@@ -38,7 +38,9 @@ class TestSimulateCommand:
         assert len(reps) == 1 + 3 * 13
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 5
-        assert manifest["mc_error_batches"] == 1
+        assert manifest["mc_error_batch_rule"] == (
+            "per estimator: floor(sqrt(successful replications)) batches"
+        )
         assert "Estimator" in capsys.readouterr().out
 
     def test_rerun_is_byte_identical(self, tmp_path):

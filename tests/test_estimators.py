@@ -34,7 +34,6 @@ from drbayes import glm
 from drbayes.glm import (
     clever_covariate,
     cubic_ps_basis,
-    cubic_ps_basis_jacobian,
     fit_linear_weighted,
     fit_logistic_weighted,
 )
@@ -632,8 +631,11 @@ def reference_joint_loglik(y, z, base, bvals, gamma, phi=None, hessian=False):
     grad[p_phi:] += bvals.T @ (z - e)
     if not hessian:
         return value, grad, phi, None
-    basis_jac = cubic_ps_basis_jacobian(bvals, e)
-    dd = basis_jac[:, 0]
+    # The (n, 3, q) basis Jacobian: column k moves by k d^(k-1) (v B - mean(v B)).
+    vb = bvals * v[:, None]
+    dd = vb - vb.mean(axis=0)
+    powers = np.column_stack([np.ones(n), 2.0 * d, 3.0 * d * d])
+    basis_jac = powers[:, :, None] * dd[:, None, :]
     jr = np.column_stack([design, dd * g[:, None]])
     curv = jr.T @ jr
     cross = -np.einsum("i,ikj->kj", resid, basis_jac)

@@ -4,7 +4,6 @@ import pytest
 from drbayes.glm import (
     clever_covariate,
     cubic_ps_basis,
-    cubic_ps_basis_jacobian,
     fd_mean_score_cross_derivative,
     fit_linear_weighted,
     fit_linear_weighted_many,
@@ -298,7 +297,7 @@ def _sandwich_instance(n, seed):
     x_out = build(ps_fit.gamma)
     outcome_fit = fit_linear_weighted(x_out, y)
     e = expit(bdes @ ps_fit.gamma)
-    return y, z, bdes, ps_fit, e, outcome_fit, build, cubic_ps_basis_jacobian(bdes, e)
+    return y, z, bdes, ps_fit, e, outcome_fit, build
 
 
 class TestSandwich:
@@ -313,34 +312,14 @@ class TestSandwich:
         assert np.sqrt(fit.cov[1, 1]) == pytest.approx(oracle, rel=1e-10)
 
     def test_correction_free_variant_equals_hc0(self):
-        y, z, bdes, ps_fit, e, outcome_fit, build, jac = _sandwich_instance(300, seed=21)
+        y, z, bdes, ps_fit, e, outcome_fit, build = _sandwich_instance(300, seed=21)
         x_out = build(ps_fit.gamma)
-        var = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, x_out, jac[:, :0])
+        var = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, x_out, 0)
         resid = y - x_out @ outcome_fit.phi
         bread = np.linalg.inv(x_out.T @ x_out)
         meat = (x_out * resid[:, None]).T @ (x_out * resid[:, None])
         hc0 = (bread @ meat @ bread)[1, 1]
         assert var == pytest.approx(hc0, rel=1e-8)
-
-    def test_design_constant_in_gamma_recovers_hc0(self):
-        # With no propensity terms in the outcome design the correction
-        # vanishes and the adjusted sandwich equals the conventional one.
-        gen = RngStream(22).generator()
-        n = 200
-        s = gen.standard_normal(n)
-        b = gen.standard_normal(n)
-        bdes = np.column_stack([np.ones(n), b])
-        z = (gen.random(n) < expit(0.4 * b)).astype(float)
-        y = z + s + gen.standard_normal(n)
-        e = expit(bdes @ fit_logistic_weighted(bdes, z).gamma)
-        x_out = np.column_stack([np.ones(n), z, s])
-        outcome_fit = fit_linear_weighted(x_out, y)
-        # Every column as a "basis" column with zero derivative, against none.
-        jac = np.zeros((n, 3, 2))
-
-        with_corr = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, x_out, jac)
-        without = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, x_out, jac[:, :0])
-        assert with_corr == pytest.approx(without, abs=1e-8)
 
     def test_fd_cross_derivative_matches_analytic(self):
         # Analytic chain-rule oracle on a 5-row instance: the design depends
@@ -382,8 +361,8 @@ class TestSandwich:
         np.testing.assert_allclose(fd, analytic, atol=1e-6)
 
     def test_exact_cross_derivative_matches_fd_variance(self):
-        y, z, bdes, ps_fit, e, outcome_fit, build, jac = _sandwich_instance(300, seed=24)
-        var = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, build(ps_fit.gamma), jac)
+        y, z, bdes, ps_fit, e, outcome_fit, build = _sandwich_instance(300, seed=24)
+        var = ps_adjusted_treatment_variance(outcome_fit, y, z, bdes, e, build(ps_fit.gamma), 3)
         oracle = _fd_adjusted_variance(outcome_fit, ps_fit, y, z, bdes, build)
         assert var == pytest.approx(oracle, rel=1e-6)
 
@@ -433,14 +412,11 @@ class TestSandwich:
 
             e = expit(bdes @ ps_fit.gamma)
             x_out = ps_outcome_design(data, spec, e)
-            jac = cubic_ps_basis_jacobian(bdes, e)
             outcome_fit = fit_linear_weighted(x_out, data.y)
             adj.append(
-                ps_adjusted_treatment_variance(outcome_fit, data.y, data.z, bdes, e, x_out, jac)
+                ps_adjusted_treatment_variance(outcome_fit, data.y, data.z, bdes, e, x_out, 3)
             )
             unadj.append(
-                ps_adjusted_treatment_variance(
-                    outcome_fit, data.y, data.z, bdes, e, x_out, jac[:, :0]
-                )
+                ps_adjusted_treatment_variance(outcome_fit, data.y, data.z, bdes, e, x_out, 0)
             )
         assert np.mean(adj) < np.mean(unadj)

@@ -219,6 +219,13 @@ class TestSummarize:
 
         points = np.array([r.point for r in recs])
         assert row.mc_error == pytest.approx(batch_means_error(points, 10))
+        # The batches are taken over the successful replications only: 99
+        # of them give 9 batches, not the 10 of 100 replications.
+        recs[50] = ReplicationRecord(50, "e", float("nan"), float("nan"), False, error="x")
+        row = summarize(recs)[0]
+        assert row.n_failed == 1
+        good = np.delete(points, 50)
+        assert row.mc_error == pytest.approx(batch_means_error(good, 9))
 
 
 TREND_SIZES = ((250, 300), (1000, 150), (4000, 75))
