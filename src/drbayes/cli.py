@@ -36,6 +36,7 @@ from .simulation import (
     SCENARIOS,
     SimConfig,
     SimulationRow,
+    _keep_freed_heap,
     check_tags,
     error_text,
     run_estimators,
@@ -174,6 +175,9 @@ def _text_table(rows):
 def cmd_simulate(args):
     config, out_dir = _sim_config_from_args(args)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # The command owns its process, so it keeps freed heap for reuse; the
+    # pool workers set it themselves.
+    _keep_freed_heap()
     result = run_simulation(config)
 
     # replications.csv leaves out the records' error text; summary.csv has

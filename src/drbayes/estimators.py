@@ -34,7 +34,11 @@ Conventions used throughout:
   diagnostics; one that IRLS abandoned is refused by :func:`_ps_model`, and
   a singular full-sample outcome design is refused too.  Refusals name the
   collinear columns of the design at fault.  More than 10% failed
-  resampling draws raise :class:`DrawFailureError`.
+  resampling draws raise :class:`DrawFailureError`, and a non-finite point
+  or standard error is refused by :func:`_result`, which makes every
+  result;
+* a resampling plan holds each (m, n) quantity once: building it, and each
+  estimator that reads it, needs at most one more (m, n) array.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ import numpy as np
 
 from .glm import (
     clever_covariate,
+    clever_covariate_,
     cubic_ps_basis,
     fit_linear_weighted,
     fit_linear_weighted_many,
@@ -263,7 +268,10 @@ class EstimateResult:
 
 
 def _result(method, point, se, draws=None, diagnostics=None):
+    """The one way a result is made: a non-finite point or SE is refused."""
     point, se = float(point), float(se)
+    if not (math.isfinite(point) and math.isfinite(se)):
+        raise EstimatorError(f"{method}: estimate is not finite (point {point}, SE {se})")
     ci = (point - CI_MULT * se, point + CI_MULT * se)
     return EstimateResult(method, point, se, ci, draws, diagnostics or {})
 
@@ -360,13 +368,15 @@ def _ps_model(data: Dataset, spec: CovariateSpec):
 def _ipw_rows(z, W, H, stabilize):
     """Inverse treatment weights for each row of ``W``: ``|H|``, the clever
     covariate's ``1/E`` on the treated and ``1/(1-E)`` on the controls.
-    When stabilizing, they are multiplied by the row's weighted treated
-    fraction and its complement."""
-    w = np.abs(H)
-    if stabilize:
-        pbar = ((W @ z) / W.sum(axis=1))[:, None]
-        w *= np.where(z == 1.0, pbar, 1.0 - pbar)
-    return w
+    When stabilizing, they are the row's weighted treated fraction ``pbar``
+    times ``H`` on the treated and ``-(1 - pbar)`` times ``H`` on the
+    controls, a factor formed as the product ``[pbar, pbar - 1] @ [z; 1 - z]``,
+    which is exact because one of its two terms is 0."""
+    if not stabilize:
+        return np.abs(H)
+    pbar = (W @ z) / W.sum(axis=1)
+    factor = np.column_stack([pbar, pbar - 1.0]) @ np.vstack([z, 1.0 - z])
+    return np.multiply(factor, H, out=factor)
 
 
 def _ipw_row_max(z, W, H, stabilize):
@@ -411,18 +421,18 @@ def _resample_index_matrix(z, n_boot, gen):
 
 
 def _bootstrap_counts(z, n_boot, gen):
-    """Count-weight matrix for ``n_boot`` resamples (rows sum to n).
+    """Weight matrix of the bootstrap plan, ``(W, redraws)``: a uniform row 0
+    above the count rows of ``n_boot`` resamples (each row sums to n).
 
     Count-weighted refits are likelihood-identical to refitting on the
     physically resampled rows.
     """
     n = z.shape[0]
     idx, redraws = _resample_index_matrix(z, n_boot, gen)
-    offsets = np.arange(n_boot)[:, None] * n
-    counts = np.bincount((idx + offsets).ravel(), minlength=n_boot * n).reshape(
-        n_boot, n
-    )
-    return counts.astype(float), redraws
+    idx += np.arange(n_boot)[:, None] * n
+    counts = np.bincount(idx.ravel(), minlength=n_boot * n).reshape(n_boot, n)
+    del idx  # the indices go before the float matrix is allocated
+    return np.vstack([np.ones(n), counts]), redraws
 
 
 def _check_draw_failures(n_failed, total, what, data=None, spec=None):
@@ -444,13 +454,13 @@ def _count_plan(data, spec, rng, n_boot):
     whether each row's treatment fit converged (row 0 always: a finite
     full-sample fit is kept, flagged)."""
     design, fit, e, _ = _ps_model(data, spec)
-    counts, redraws = _bootstrap_counts(data.z, n_boot, rng.child(_SUB_WEIGHTS).generator())
-    batch = fit_logistic_weighted_many(design, data.z, counts, start=fit.gamma)
-    W = np.vstack([np.ones(data.n), counts])
+    W, redraws = _bootstrap_counts(data.z, n_boot, rng.child(_SUB_WEIGHTS).generator())
+    batch = fit_logistic_weighted_many(design, data.z, W[1:], start=fit.gamma)
+    ok = np.concatenate([[True], batch.converged])
     E = np.vstack([e, batch.prob])
+    del batch  # its probabilities go before the clever covariate is formed
     np.clip(E, WEIGHT_CLIP, 1.0 - WEIGHT_CLIP, out=E)
     H = clever_covariate(data.z, E)
-    ok = np.concatenate([[True], batch.converged])
     _freeze(W, E, H, ok)
     return W, E, H, ok, redraws
 
@@ -604,7 +614,9 @@ def _clever_rows(data, spec, W, E, H):
     if not lin.ok[0]:
         lin = fit_linear_weighted_many(base, y, W)
         return lin.phi[:, Z_COL], lin.ok, ("clever",)
-    correction = np.sum(W / (E * (1.0 - E)), axis=1) / W.sum(axis=1)
+    # sum(W / (E (1 - E))) per row, in one buffer.
+    t = 1.0 - E
+    correction = np.divide(W, np.multiply(t, E, out=t), out=t).sum(axis=1) / W.sum(axis=1)
     return lin.phi[:, Z_COL] + lin.phi[:, -1] * correction, lin.ok, ()
 
 
@@ -624,10 +636,14 @@ def clever_covariate_regression(data, spec, cfg, rng):
 def _or_iptw_rows(data, spec, W, H, stabilize):
     """Treatment coefficient of the plain outcome fit weighted by ``W``
     times the row's inverse treatment weights (from the clever covariates
-    ``H``), per row of ``W``.  Returns ``(values, ok, treatment_weights)``."""
+    ``H``), per row of ``W``.  Returns ``(values, ok, w_min, w_max)``, with
+    the diagnostics taken before the weights are multiplied by ``W`` in
+    place: row 0's smallest treatment weight and each row's largest."""
     w = _ipw_rows(data.z, W, H, stabilize)
-    lin = fit_linear_weighted_many(plain_outcome_design(data, spec), data.y, W * w)
-    return lin.phi[:, Z_COL], lin.ok, w
+    w_min, w_max = w[0].min(), w.max(axis=1)
+    w *= W
+    lin = fit_linear_weighted_many(plain_outcome_design(data, spec), data.y, w)
+    return lin.phi[:, Z_COL], lin.ok, w_min, w_max
 
 
 def or_iptw(data, spec, cfg, rng):
@@ -636,9 +652,9 @@ def or_iptw(data, spec, cfg, rng):
     standard error refitting both models."""
     diag = dict(_ps_model(data, spec)[3])
     W, _, H, ok, redraws = _count_plan(data, spec, rng, cfg.n_boot)
-    values, fit_ok, w = _or_iptw_rows(data, spec, W, H, cfg.stabilize)
-    diag["weight_min"] = float(w[0].min())
-    diag["weight_max"] = float(w[0].max())
+    values, fit_ok, w_min, w_max = _or_iptw_rows(data, spec, W, H, cfg.stabilize)
+    diag["weight_min"] = float(w_min)
+    diag["weight_max"] = float(w_max[0])
     return _bootstrap_result("or_iptw", values, ok & fit_ok, redraws, diag, data, spec)
 
 
@@ -665,7 +681,7 @@ def _dirichlet_plan(data, spec, rng, n_draws):
     xi = _dirichlet_rows(rng.child(_SUB_WEIGHTS).generator(), n_draws, data.n)
     batch = fit_logistic_weighted_many(design, data.z, xi, start=fit.gamma)
     e = batch.prob
-    H = clever_covariate(data.z, _clamp_ps(e))
+    H = clever_covariate_(data.z, _clamp_ps(e))
     _freeze(xi, batch.gamma, batch.converged, e, H)
     return xi, batch, e, H
 
@@ -726,12 +742,21 @@ def _vardecomp_result(contrast_hat, model_var, diag):
 
 
 def two_step_pair(data, spec, cfg, rng):
-    """Both two-step variants from one set of draws:
-    ``(forward_result, vardecomp_result)``, identical to calling the two
-    estimators separately with the same stream."""
+    """Both two-step variants from one set of draws: ``(forward,
+    vardecomp)``, each the result or the :class:`EstimatorError` its
+    estimator raises, identical to calling the two estimators separately
+    with the same stream.  A refusal of the shared draws is raised."""
     contrast_hat, model_var, contrast_draw, diag = _two_step_draws(data, spec, cfg, rng)
-    forward = _result_from_draws("two_step_forward", contrast_draw, diagnostics=diag)
-    return forward, _vardecomp_result(contrast_hat, model_var, diag)
+    forward = _result_or_refusal(_result_from_draws, "two_step_forward", contrast_draw, diag)
+    return forward, _result_or_refusal(_vardecomp_result, contrast_hat, model_var, diag)
+
+
+def _result_or_refusal(build, *args):
+    """``build(*args)``, or the :class:`EstimatorError` it raises."""
+    try:
+        return build(*args)
+    except EstimatorError as err:
+        return err
 
 
 # ---------------------------------------------------------------------------
@@ -1019,9 +1044,9 @@ def importance_sampling(data, spec, cfg, rng):
     distribution (the ``or_iptw`` kernel on Dirichlet rows).  Point and
     standard error are the mean and standard deviation over draws."""
     xi, batch, _, H = _dirichlet_plan(data, spec, rng, cfg.n_draws)
-    values, fit_ok, w = _or_iptw_rows(data, spec, xi, H, cfg.stabilize)
+    values, fit_ok, _, w_max = _or_iptw_rows(data, spec, xi, H, cfg.stabilize)
     ok = batch.converged & fit_ok
-    diag = _draw_diagnostics(ok, w.max(axis=1), batch, data, spec)
+    diag = _draw_diagnostics(ok, w_max, batch, data, spec)
     return _result_from_draws("is", values[ok], diagnostics=diag)
 
 

@@ -50,6 +50,7 @@ __all__ = [
     "BatchLinear",
     "cubic_ps_basis",
     "clever_covariate",
+    "clever_covariate_",
     "fd_mean_score_cross_derivative",
     "ps_adjusted_treatment_variance",
 ]
@@ -145,6 +146,18 @@ def _scatter_symmetric(flat, p, iu):
     return out
 
 
+def _column_pairs(x):
+    """Products of the columns of the (n, p) design ``x`` in upper-triangle
+    order, ``x[:, iu[0]] * x[:, iu[1]]``, written column by column into one
+    array.  It is column-major, the layout of that fancy-index product:
+    the products' bits do not depend on it, but the Gram GEMMs' do."""
+    iu = _upper_triangle(x.shape[1])
+    pairs = np.empty((x.shape[0], iu[0].size), order="F")
+    for k, (i, j) in enumerate(zip(*iu)):
+        np.multiply(x[:, i], x[:, j], out=pairs[:, k])
+    return pairs
+
+
 def _check_weights(weights, n):
     if weights is None:
         return np.ones(n)
@@ -204,6 +217,13 @@ class BatchLogistic:
     prob: np.ndarray | None = None  # (m, n) fitted probabilities, clipped as by expit
 
 
+def _row_blocks(m, size=16):
+    """Slices of at most ``size`` rows covering ``range(m)``: an elementwise
+    pass over gathered rows, taken a block at a time, needs a temporary of
+    one block instead of one of every row."""
+    return [slice(lo, lo + size) for lo in range(0, m, size)]
+
+
 def fit_logistic_weighted_many(x, z, weights, start=None):
     """IRLS for many weight vectors against one shared design.
 
@@ -217,14 +237,18 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     abandoned with NaN coefficients and reported unconverged rather than
     raising, since resampling callers skip and count such draws; a
     diverging row is flagged as separated, a rank-deficient one is not.
-    Converged rows drop out of the working set, so late iterations only
-    pay for the stragglers.  ``start`` warm-starts all rows (typically the
-    full-sample estimate, since reweighted fits are small perturbations of
-    it); the optimum is unchanged.  ``prob`` keeps each converged row's
-    probabilities from its last convergence check; the other rows are
-    evaluated at their final coefficients, NaN read as zero.  The weight
-    rows are used as given, since the Newton step does not depend on a
-    row's scale.
+    Converged rows drop out of the score and information, so late
+    iterations only pay for the stragglers.  ``start`` warm-starts all rows
+    (typically the full-sample estimate, since reweighted fits are small
+    perturbations of it); the optimum is unchanged.  ``prob`` keeps each
+    converged row's probabilities from its last convergence check; the
+    other rows are evaluated at their final coefficients, NaN read as zero.
+    The weight rows are used as given, since the Newton step does not
+    depend on a row's scale.
+
+    The (m, n) working set is ``prob`` and one residual buffer.  While
+    every row is active the probabilities are formed in ``prob`` itself;
+    afterwards only the active rows' probabilities are a new array.
     """
     xv = np.asarray(x, dtype=float)
     z = np.asarray(z, dtype=float)
@@ -235,9 +259,10 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     gamma0 = np.zeros(p) if start is None else np.asarray(start, dtype=float)
     gamma = np.tile(gamma0, (m, 1))
     iu = _upper_triangle(p)
-    pairs = xv[:, iu[0]] * xv[:, iu[1]]
+    pairs = _column_pairs(xv)
     controls = 1.0 - z
     prob = np.empty((m, n))
+    resid = np.empty((m, n))
     converged = np.zeros(m, dtype=bool)
     diverged = np.zeros(m, dtype=bool)
     active = np.flatnonzero(row_means > 0)
@@ -245,45 +270,53 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
     for iterations in range(1, MAX_IRLS_ITERATIONS + 1):
         if active.size == 0:
             break
-        # A slice while every row is active: views instead of row copies.
-        rows = slice(None) if active.size == m else active
-        wa = weights[rows]
+        k = active.size
         if iterations == 1:
             # Every row starts at gamma0, so the probabilities are one
             # n-vector and the score a product of the weight rows with x.
+            wa = weights if k == m else weights[active]
             mu = logistic_(xv @ gamma0)
             score = wa @ (xv * (z - mu)[:, None])
         else:
             # 1 / (1 + exp(-eta)) in place; exp overflows to inf where the
             # probability is 0 in the limit, and its reciprocal gives that 0.
-            mu = -gamma[rows] @ xv.T
+            mu = np.matmul(-gamma, xv.T, out=prob) if k == m else -gamma[active] @ xv.T
             with np.errstate(over="ignore"):
                 np.exp(mu, out=mu)
             mu += 1.0
             np.reciprocal(mu, out=mu)
-            r = z - mu
-            r *= wa
+            r = np.subtract(z, mu, out=resid[:k])
+            if k == m:
+                r *= weights
+            else:
+                for rows in _row_blocks(k):
+                    r[rows] *= weights[active[rows]]
             score = r @ xv
         done = np.abs(score).max(axis=1) / row_means[active] < SCORE_TOL
         if done.any():
             converged[active[done]] = True
-            prob[active[done]] = mu if iterations == 1 else mu[done]
-            keep = ~done
-            active = active[keep]
-            if active.size == 0:
+            if mu is not prob:
+                for rows in _row_blocks(k):
+                    prob[active[rows][done[rows]]] = mu if iterations == 1 else mu[rows][done[rows]]
+            if done.all():
                 break
-            score = score[keep]
-            if iterations == 1:
-                wa = wa[keep]
-            else:
-                mu, r = mu[keep], r[keep]
+        # The information of every row of this pass (the converged ones are
+        # dropped from it below), with the IRLS weights w mu (1 - mu) =
+        # r (mu - (1 - z)) in place over mu, or over r when mu is prob and
+        # holds rows that just converged.
         if iterations == 1:
             info = wa @ (pairs * (mu * (1.0 - mu))[:, None])
-        else:
-            # IRLS weights w mu (1 - mu) = r (mu - (1 - z)), in place over mu.
+        elif mu is not prob or not done.any():
             mu -= controls
             mu *= r
             info = mu @ pairs
+        else:
+            for rows in _row_blocks(k):
+                r[rows] *= mu[rows] - controls
+            info = r @ pairs
+        if done.any():
+            keep = ~done
+            active, score, info = active[keep], score[keep], info[keep]
         info = _scatter_symmetric(info, p, iu)
         # Rank is decided on the iteration-1 information.  Later ones keep
         # its rank unless a probability rounds to exactly 0 or 1, which can
@@ -370,7 +403,8 @@ class BatchLinear:
         p0 = xv.shape[1]
         resid = self.phi[:, :p0] @ xv.T
         for j, c in enumerate(cols, start=p0):
-            resid += self.phi[:, j, None] * c
+            for rows in _row_blocks(len(resid)):
+                resid[rows] += self.phi[rows, j, None] * c[rows]
         # Weighted squared residuals, in place in one buffer.
         np.subtract(y, resid, out=resid)
         resid *= resid
@@ -421,7 +455,7 @@ def fit_linear_weighted_many(x, y, weights=None, extra=()):
         wcols = cols
     else:
         iu = _upper_triangle(p0)
-        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = weights @ (xv[:, iu[0]] * xv[:, iu[1]])
+        a[:, iu[0], iu[1]] = a[:, iu[1], iu[0]] = weights @ _column_pairs(xv)
         b[:, :p0] = weights @ (xv * y[:, None])
         wcols = [weights * c for c in cols]
     for j, wc in enumerate(wcols, start=p0):
@@ -457,10 +491,18 @@ def cubic_ps_basis(e):
 
 
 def clever_covariate(z, e):
-    """Derived regressor ``z / e - (1 - z) / (1 - e)``."""
-    z = np.asarray(z, dtype=float)
-    e = np.asarray(e, dtype=float)
-    return z / e - (1.0 - z) / (1.0 - e)
+    """Derived regressor ``z / e - (1 - z) / (1 - e)``; ``e`` is not
+    written to."""
+    return clever_covariate_(z, np.array(e, dtype=float))
+
+
+def clever_covariate_(z, e):
+    """:func:`clever_covariate` of the float array ``e``, whose second term
+    is computed over ``e``: ``e`` is overwritten with ``(1 - z) / (1 - e)``,
+    so the covariate is the one new array."""
+    h = z / e
+    h -= np.divide(1.0 - z, np.subtract(1.0, e, out=e), out=e)
+    return h
 
 
 def fd_mean_score_cross_derivative(build_outcome_design, gamma, phi, sigma2, y, fd_step=1e-5):

@@ -346,14 +346,14 @@ def run_simulation(config: SimConfig) -> SimulationResult:
     ordered concatenation of results is identical for any worker count.
     The pool starts no more workers than there are replications.
 
-    On glibc, this process and every worker keep freed memory for reuse
-    instead of returning it to the kernel: the setting is process-wide and
-    lasts after the call, and resident memory stays at its high-water mark
-    rather than shrinking between replications.  Outputs are unchanged; on
-    other C libraries nothing changes.
+    On glibc, every pool worker keeps freed memory for reuse instead of
+    returning it to the kernel (``_keep_freed_heap``), since the workers are
+    this function's own processes.  The calling process is left as it is:
+    the setting is process-wide and lasting, so it belongs to the program
+    that owns the process, as ``drbayes simulate`` sets it for its own.
+    Outputs are unchanged either way.
     """
     start = time.perf_counter()
-    _keep_freed_heap()
     if config.threads > 1:
         jobs = [(config, r) for r in range(config.reps)]
         workers = min(config.threads, config.reps)

@@ -438,7 +438,7 @@ def _treatment_plan(n, m, kind, seed):
     design, fit, _, _ = est._ps_model(data, spec)
     gen = RngStream(seed, 1).generator()
     if kind == "counts":
-        weights, _ = est._bootstrap_counts(data.z, m, gen)
+        weights = est._bootstrap_counts(data.z, m, gen)[0][1:]
     else:
         weights = est._dirichlet_rows(gen, m, n)
     return design, data.z, weights, fit.gamma

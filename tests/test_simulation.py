@@ -4,7 +4,7 @@ import resource
 import numpy as np
 import pytest
 
-from drbayes import simulation
+from drbayes import cli, simulation
 
 from drbayes.estimators import ABS_STANDARDIZED, ABS_STD_SCALE, IDENTITY, EstimatorError
 from drbayes.numerics import InvalidArgumentError, RngStream, expit
@@ -276,6 +276,19 @@ class TestRunSimulation:
         assert serial.records == parallel.records
         for a, b in zip(serial.rows, parallel.rows):
             assert a == b
+
+    def test_heap_setting_belongs_to_the_command(self, monkeypatch, tmp_path):
+        # The glibc setting is process-wide and lasting: a library caller of
+        # run_simulation keeps its allocator as it was, while `drbayes
+        # simulate`, which owns its process, sets it.
+        calls = []
+        monkeypatch.setattr(simulation, "_keep_freed_heap", lambda: calls.append("library"))
+        monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("command"))
+        run_simulation(_fast_config(reps=2, threads=1))
+        assert calls == []
+        argv = ["simulate", "--n", "100", "--reps", "2", "--estimators", "naive"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert calls == ["command"]
 
     def test_weight_matrices_reuse_retained_heap(self):
         # At n=5000 each (50, n) weight array is 489 pages; when freed heap
