@@ -370,12 +370,11 @@ def _ipw_rows(z, W, H, stabilize):
     covariate's ``1/E`` on the treated and ``1/(1-E)`` on the controls.
     When stabilizing, they are the row's weighted treated fraction ``pbar``
     times ``H`` on the treated and ``-(1 - pbar)`` times ``H`` on the
-    controls, a factor formed as the product ``[pbar, pbar - 1] @ [z; 1 - z]``,
-    which is exact because one of its two terms is 0."""
+    controls."""
     if not stabilize:
         return np.abs(H)
     pbar = (W @ z) / W.sum(axis=1)
-    factor = np.column_stack([pbar, pbar - 1.0]) @ np.vstack([z, 1.0 - z])
+    factor = np.where(z == 1.0, pbar[:, None], pbar[:, None] - 1.0)
     return np.multiply(factor, H, out=factor)
 
 

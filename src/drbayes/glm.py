@@ -302,14 +302,9 @@ def fit_logistic_weighted_many(x, z, weights, start=None):
                 break
         # The information of every row of this pass (the converged ones are
         # dropped from it below), with the IRLS weights w mu (1 - mu) =
-        # r (mu - (1 - z)) in place over mu, or over r when mu is prob and
-        # holds rows that just converged.
+        # r (mu - (1 - z)) over r, so mu keeps the rows that just converged.
         if iterations == 1:
             info = wa @ (pairs * (mu * (1.0 - mu))[:, None])
-        elif mu is not prob or not done.any():
-            mu -= controls
-            mu *= r
-            info = mu @ pairs
         else:
             for rows in _row_blocks(k):
                 r[rows] *= mu[rows] - controls

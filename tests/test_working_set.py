@@ -57,7 +57,10 @@ class TestIrlsWorkingSet:
             lambda: fit_logistic_weighted_many(design, data.z, weights, start=fit.gamma)
         )
         p = design.shape[1]
-        return peak, 8 * self.M * self.N, 2 * 8 * self.N * p * p
+        # Beside the (m, n) arrays: the column products and a few (n, p)
+        # arrays, within 2 n p^2, and one block of 16 rows over which the
+        # IRLS weights are formed.
+        return peak, 8 * self.M * self.N, 8 * self.N * (2 * p * p + 16)
 
     def test_rows_converging_together_hold_prob_and_one_buffer(self):
         # Identical rows converge in the same iteration: the kernel holds
